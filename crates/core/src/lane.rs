@@ -12,24 +12,67 @@
 use diag_isa::{ArchReg, NUM_LANES};
 
 /// Geometry needed to compute lane propagation delays within a ring.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+///
+/// The segment of every PE slot is tabulated once at construction, so
+/// [`LaneGeometry::delay`] — evaluated for every source operand of every
+/// instruction — compares table entries instead of dividing by the
+/// configured buffer interval and ring size.
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct LaneGeometry {
-    /// PEs per lane-buffer segment (paper: 8).
-    pub buffer_interval: usize,
     /// Total PE slots in the ring (clusters × PEs per cluster).
-    pub ring_slots: usize,
+    ring_slots: usize,
+    /// Buffered segments around the ring.
+    segments: usize,
+    /// Segment of each slot in `0..ring_slots`.
+    segment: Box<[u32]>,
 }
 
 impl LaneGeometry {
+    /// Geometry of a ring of `ring_slots` PE slots whose register lanes
+    /// are buffered every `buffer_interval` PEs (paper: 8).
+    ///
+    /// # Panics
+    ///
+    /// Panics if either argument is zero.
+    pub fn new(buffer_interval: usize, ring_slots: usize) -> LaneGeometry {
+        assert!(
+            buffer_interval > 0 && ring_slots > 0,
+            "lane geometry needs a positive buffer interval and ring size"
+        );
+        LaneGeometry {
+            ring_slots,
+            segments: ring_slots.div_ceil(buffer_interval),
+            segment: (0..ring_slots)
+                .map(|slot| (slot / buffer_interval) as u32)
+                .collect(),
+        }
+    }
+
+    /// Total PE slots in the ring.
+    pub fn ring_slots(&self) -> usize {
+        self.ring_slots
+    }
+
     /// Total buffered segments around the ring.
     pub fn segments(&self) -> usize {
-        self.ring_slots.div_ceil(self.buffer_interval)
+        self.segments
+    }
+
+    /// `slot` reduced into `0..ring_slots` (callers may name a slot one
+    /// or more laps past the ring).
+    #[inline]
+    fn wrap(&self, slot: usize) -> usize {
+        if slot < self.ring_slots {
+            slot
+        } else {
+            slot % self.ring_slots
+        }
     }
 
     /// Lane-buffer segment containing global PE `slot` (used by the trace
     /// subsystem to attribute segment-buffer traffic).
     pub fn segment_of(&self, slot: usize) -> usize {
-        (slot % self.ring_slots) / self.buffer_interval
+        self.segment[self.wrap(slot)] as usize
     }
 
     /// Cycles for a cross-cluster register transfer over the shared
@@ -45,23 +88,24 @@ impl LaneGeometry {
     /// [`LaneGeometry::BUS_SHORTCUT`] for distant or wrapping transfers.
     /// Values consumed within the writer's own segment forward
     /// combinationally.
+    #[inline]
     pub fn delay(&self, writer: usize, reader: usize) -> u64 {
-        let sw = self.segment_of(writer);
-        let sr = self.segment_of(reader);
-        let segs = self.segments();
-        let reader_m = reader % self.ring_slots;
-        let writer_m = writer % self.ring_slots;
+        let writer = self.wrap(writer);
+        let reader = self.wrap(reader);
+        let sw = self.segment[writer] as usize;
+        let sr = self.segment[reader] as usize;
         let walk = if sw == sr {
-            if reader_m >= writer_m {
-                0
-            } else {
-                // Same segment but the reader is behind: a full circle.
-                segs as u64
+            if reader >= writer {
+                return 0;
             }
+            // Same segment but the reader is behind: a full circle.
+            self.segments
+        } else if sr > sw {
+            sr - sw
         } else {
-            ((sr + segs - sw) % segs) as u64
+            sr + self.segments - sw
         };
-        walk.min(Self::BUS_SHORTCUT)
+        (walk as u64).min(Self::BUS_SHORTCUT)
     }
 }
 
@@ -104,7 +148,7 @@ impl LaneFile {
     /// Time at which a consumer at `reader` slot observes the lane valid,
     /// including lane-buffer propagation from the writer.
     #[inline]
-    pub fn ready_at(&self, lane: ArchReg, reader: usize, geom: LaneGeometry) -> u64 {
+    pub fn ready_at(&self, lane: ArchReg, reader: usize, geom: &LaneGeometry) -> u64 {
         if lane.is_zero() {
             return 0;
         }
@@ -232,41 +276,37 @@ mod tests {
     use super::*;
     use diag_isa::{regs, ArchReg};
 
-    const GEOM: LaneGeometry = LaneGeometry {
-        buffer_interval: 8,
-        ring_slots: 32,
-    };
+    fn geom() -> LaneGeometry {
+        LaneGeometry::new(8, 32)
+    }
 
     #[test]
     fn same_segment_is_combinational() {
-        assert_eq!(GEOM.delay(0, 7), 0);
-        assert_eq!(GEOM.delay(3, 3), 0);
-        assert_eq!(GEOM.delay(8, 15), 0);
+        assert_eq!(geom().delay(0, 7), 0);
+        assert_eq!(geom().delay(3, 3), 0);
+        assert_eq!(geom().delay(8, 15), 0);
     }
 
     #[test]
     fn each_boundary_costs_one() {
-        assert_eq!(GEOM.delay(0, 8), 1); // mid-cluster buffer
-        assert_eq!(GEOM.delay(0, 16), 2); // into next cluster
-        assert_eq!(GEOM.delay(7, 31), LaneGeometry::BUS_SHORTCUT); // capped
+        assert_eq!(geom().delay(0, 8), 1); // mid-cluster buffer
+        assert_eq!(geom().delay(0, 16), 2); // into next cluster
+        assert_eq!(geom().delay(7, 31), LaneGeometry::BUS_SHORTCUT); // capped
     }
 
     #[test]
     fn wrap_around_uses_circular_connection() {
         // Writer in last segment, reader in first: one boundary (the
         // circular cluster connection).
-        assert_eq!(GEOM.delay(31, 0), 1);
+        assert_eq!(geom().delay(31, 0), 1);
         // Same segment, reader behind writer: a full circle, but never
         // worse than the 512-bit bus shortcut.
-        assert_eq!(GEOM.delay(5, 2), LaneGeometry::BUS_SHORTCUT);
+        assert_eq!(geom().delay(5, 2), LaneGeometry::BUS_SHORTCUT);
     }
 
     #[test]
     fn long_transfers_capped_by_bus() {
-        let big = LaneGeometry {
-            buffer_interval: 8,
-            ring_slots: 512,
-        };
+        let big = LaneGeometry::new(8, 512);
         // 32 clusters apart would be 62 buffer crossings on the lanes;
         // the control unit routes it over the bus instead (§5.1.3).
         assert_eq!(big.delay(0, 500), LaneGeometry::BUS_SHORTCUT);
@@ -275,15 +315,65 @@ mod tests {
         assert_eq!(big.delay(0, 9), 1);
     }
 
+    /// Reference: the delay computed with divisions by the interval and
+    /// ring size, which the segment table must reproduce exactly.
+    fn delay_by_division(interval: usize, slots: usize, writer: usize, reader: usize) -> u64 {
+        let segment_of = |slot: usize| (slot % slots) / interval;
+        let (sw, sr) = (segment_of(writer), segment_of(reader));
+        let segs = slots.div_ceil(interval);
+        let walk = if sw == sr {
+            if reader % slots >= writer % slots {
+                0
+            } else {
+                segs as u64
+            }
+        } else {
+            ((sr + segs - sw) % segs) as u64
+        };
+        walk.min(LaneGeometry::BUS_SHORTCUT)
+    }
+
+    #[test]
+    fn segment_table_matches_division_for_every_pair() {
+        // Power-of-two and odd buffer intervals, single-segment rings,
+        // rings whose last segment is partial, and readers and writers up
+        // to two laps past the ring.
+        for (interval, slots) in [
+            (8, 32),
+            (8, 512),
+            (5, 32),
+            (5, 35),
+            (3, 16),
+            (16, 16),
+            (32, 16),
+            (1, 7),
+            (4, 4),
+            (1, 1),
+        ] {
+            let geom = LaneGeometry::new(interval, slots);
+            assert_eq!(geom.segments(), slots.div_ceil(interval));
+            for writer in 0..3 * slots {
+                assert_eq!(geom.segment_of(writer), (writer % slots) / interval);
+                for reader in 0..3 * slots {
+                    assert_eq!(
+                        geom.delay(writer, reader),
+                        delay_by_division(interval, slots, writer, reader),
+                        "interval {interval}, {slots} slots, writer {writer}, reader {reader}"
+                    );
+                }
+            }
+        }
+    }
+
     #[test]
     fn lane_write_and_read() {
         let mut lanes = LaneFile::new();
         let a0 = ArchReg::from(regs::A0);
         lanes.write(a0, 42, 10, 4);
         assert_eq!(lanes.value(a0), 42);
-        assert_eq!(lanes.ready_at(a0, 5, GEOM), 10); // same segment
-        assert_eq!(lanes.ready_at(a0, 9, GEOM), 11); // one buffer
-        assert_eq!(lanes.ready_at(a0, 20, GEOM), 12);
+        assert_eq!(lanes.ready_at(a0, 5, &geom()), 10); // same segment
+        assert_eq!(lanes.ready_at(a0, 9, &geom()), 11); // one buffer
+        assert_eq!(lanes.ready_at(a0, 20, &geom()), 12);
     }
 
     #[test]
@@ -292,7 +382,7 @@ mod tests {
         let zero = ArchReg::from(regs::ZERO);
         lanes.write(zero, 99, 50, 3);
         assert_eq!(lanes.value(zero), 0);
-        assert_eq!(lanes.ready_at(zero, 31, GEOM), 0);
+        assert_eq!(lanes.ready_at(zero, 31, &geom()), 0);
     }
 
     #[test]

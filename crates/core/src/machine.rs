@@ -252,53 +252,53 @@ impl Machine for Diag {
     }
 
     fn step(&mut self) -> Result<StepOutcome, SimError> {
-        let mut run = self.run.take().ok_or(SimError::NotLoaded)?;
-        let result = (|| {
-            if run.halted {
-                return Err(SimError::NotLoaded);
+        let run = self.run.as_mut().ok_or(SimError::NotLoaded)?;
+        if run.halted {
+            return Err(SimError::NotLoaded);
+        }
+        // Advance the ring that is furthest behind, so shared
+        // busy-until state is updated in approximate time order.
+        let next = run
+            .rings
+            .iter_mut()
+            .filter(|r| !r.halted)
+            .min_by_key(|r| r.clock());
+        if let Some(ring) = next {
+            ring.step(&mut run.shared)?;
+            self.commits.append(&mut ring.commits);
+            if ring.clock() > self.config.max_cycles {
+                return Err(SimError::CycleLimit {
+                    limit: self.config.max_cycles,
+                });
             }
-            // Advance the ring that is furthest behind, so shared
-            // busy-until state is updated in approximate time order.
-            let next = run
-                .rings
-                .iter()
-                .enumerate()
-                .filter(|(_, r)| !r.halted)
-                .min_by_key(|(_, r)| r.clock())
-                .map(|(i, _)| i);
-            if let Some(idx) = next {
-                run.rings[idx].step(&mut run.shared)?;
-                self.commits.append(&mut run.rings[idx].commits);
-                if run.rings[idx].clock() > self.config.max_cycles {
-                    return Err(SimError::CycleLimit {
-                        limit: self.config.max_cycles,
-                    });
-                }
-                return Ok(StepOutcome::Running);
-            }
-            // Every ring of the wave has halted: fold it in and launch the
-            // next wave, or finish the run.
-            self.finish_wave(&mut run);
-            if run.next_tid < run.threads {
-                run.launch_wave(
-                    &self.config,
-                    self.commit_log,
-                    &self.profiler,
-                    &self.observer,
-                );
-                Ok(StepOutcome::Running)
-            } else {
-                run.stats.cycles = run.finish_time;
-                run.stats.committed = run.committed;
-                run.stats.activity.busy_cycles = run.finish_time;
-                run.halted = true;
-                self.last_stats = Some(run.stats);
-                let _ = self.tracer.flush();
-                Ok(StepOutcome::Halted)
-            }
-        })();
+            return Ok(StepOutcome::Running);
+        }
+        // Every ring of the wave has halted: fold it in and launch the
+        // next wave, or finish the run. Only this path needs the run
+        // detached from `self`.
+        let Some(mut run) = self.run.take() else {
+            return Err(SimError::NotLoaded);
+        };
+        self.finish_wave(&mut run);
+        let outcome = if run.next_tid < run.threads {
+            run.launch_wave(
+                &self.config,
+                self.commit_log,
+                &self.profiler,
+                &self.observer,
+            );
+            StepOutcome::Running
+        } else {
+            run.stats.cycles = run.finish_time;
+            run.stats.committed = run.committed;
+            run.stats.activity.busy_cycles = run.finish_time;
+            run.halted = true;
+            self.last_stats = Some(run.stats);
+            let _ = self.tracer.flush();
+            StepOutcome::Halted
+        };
         self.run = Some(run);
-        result
+        Ok(outcome)
     }
 
     fn stats(&self) -> RunStats {

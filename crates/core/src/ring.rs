@@ -73,6 +73,60 @@ impl RingStats {
     }
 }
 
+/// Which cluster of a ring holds each resident I-line.
+///
+/// The most recent hit is remembered beside the map: consecutive
+/// instructions mostly share a line, so most steps resolve residency
+/// without hashing. The remembered pair is always an entry of the map —
+/// every mutation below keeps it so.
+#[derive(Debug, Default)]
+pub(crate) struct Residency {
+    map: diag_mem::FxHashMap<u32, usize>,
+    last: Option<(u32, usize)>,
+}
+
+impl Residency {
+    /// The cluster holding `line`, if it is resident.
+    #[inline]
+    pub(crate) fn get(&mut self, line: u32) -> Option<usize> {
+        match self.last {
+            Some((l, c)) if l == line => Some(c),
+            _ => {
+                let found = self.map.get(&line).copied();
+                if let Some(c) = found {
+                    self.last = Some((line, c));
+                }
+                found
+            }
+        }
+    }
+
+    /// Records `line` as resident in cluster `c`.
+    pub(crate) fn insert(&mut self, line: u32, c: usize) {
+        self.map.insert(line, c);
+        self.last = Some((line, c));
+    }
+
+    /// Forgets `line`'s residency.
+    pub(crate) fn remove(&mut self, line: u32) {
+        self.map.remove(&line);
+        if matches!(self.last, Some((l, _)) if l == line) {
+            self.last = None;
+        }
+    }
+
+    /// Forgets every line.
+    pub(crate) fn clear(&mut self) {
+        self.map.clear();
+        self.last = None;
+    }
+
+    /// Number of resident lines.
+    pub(crate) fn len(&self) -> usize {
+        self.map.len()
+    }
+}
+
 /// One dataflow ring executing one hardware thread.
 #[derive(Debug)]
 pub struct RingSim {
@@ -80,7 +134,7 @@ pub struct RingSim {
     pub(crate) config: Arc<DiagConfig>,
     pub(crate) geom: LaneGeometry,
     pub(crate) clusters: Vec<Cluster>,
-    pub(crate) resident: diag_mem::FxHashMap<u32, usize>,
+    pub(crate) resident: Residency,
     pub(crate) alloc_rr: usize,
     /// Last sequentially-loaded line and the time its bus transport ended,
     /// modelling the control unit's preemptive next-line fetch (§5.1.3).
@@ -171,14 +225,11 @@ impl RingSim {
         commit.advance_to(start_time);
         let entry = program.entry();
         RingSim {
-            geom: LaneGeometry {
-                buffer_interval: config.lane_buffer_interval,
-                ring_slots: clusters * ppc,
-            },
+            geom: LaneGeometry::new(config.lane_buffer_interval, clusters * ppc),
             clusters: (0..clusters)
                 .map(|_| Cluster::new(ppc, config.lsu_depth))
                 .collect(),
-            resident: diag_mem::FxHashMap::default(),
+            resident: Residency::default(),
             alloc_rr: 0,
             last_line: None,
             loop_lines: diag_mem::FxHashSet::default(),
@@ -270,7 +321,7 @@ impl RingSim {
         let from_slot = self.lanes.writer_of(lane);
         let seg_from = self.geom.segment_of(from_slot) as u32;
         let seg_to = self.geom.segment_of(reader_slot) as u32;
-        let to_slot = (reader_slot % self.geom.ring_slots) as u32;
+        let to_slot = (reader_slot % self.geom.ring_slots()) as u32;
         tracer.emit(|| Event {
             cycle: depart,
             thread,
@@ -319,17 +370,10 @@ impl RingSim {
         });
     }
 
-    /// Ensures the I-line containing `line` is resident; returns its
-    /// cluster index. `was_redirect` attributes any fetch wait to control.
-    fn ensure_resident(
-        &mut self,
-        line: u32,
-        was_redirect: bool,
-        shared: &mut SharedParts,
-    ) -> usize {
-        if let Some(&c) = self.resident.get(&line) {
-            return c;
-        }
+    /// Loads the non-resident I-line `line` into the next cluster in
+    /// allocation order; returns that cluster's index. `was_redirect`
+    /// attributes any fetch wait to control.
+    fn fetch_resident(&mut self, line: u32, was_redirect: bool, shared: &mut SharedParts) -> usize {
         let c = self.alloc_rr;
         self.alloc_rr = (self.alloc_rr + 1) % self.clusters.len();
         // The control unit initiates the fetch: on a sequential line
@@ -375,7 +419,7 @@ impl RingSim {
             );
         }
         if let Some(old) = self.clusters[c].line_addr {
-            self.resident.remove(&old);
+            self.resident.remove(old);
         }
         self.clusters[c].load_line(line, decode_ready);
         self.populate_stations(c, line);
@@ -437,13 +481,13 @@ impl RingSim {
             },
         });
         let line = target & self.line_mask();
-        match self.resident.get(&line).copied() {
+        match self.resident.get(line) {
             Some(c) => {
                 if backward && !self.config.enable_reuse {
                     // Ablation: no datapath reuse — evict so the line
                     // reloads through the full fetch/decode path.
                     self.clusters[c].evict();
-                    self.resident.remove(&line);
+                    self.resident.remove(line);
                     self.time_floor = resolve + 1;
                 } else {
                     let slot_in = ((target - line) / INST_BYTES) as usize;
@@ -476,7 +520,7 @@ impl RingSim {
                 }
             }
             None => {
-                // Target line must be fetched; ensure_resident adds the
+                // Target line must be fetched; fetch_resident adds the
                 // fetch latency on the next step (≥3 cycles total, §7.3.2).
                 // The scheduling table records loop targets for preemptive
                 // loading on future iterations.
@@ -635,13 +679,19 @@ impl RingSim {
         }
         let line = pc & self.line_mask();
 
+        // One residency probe serves both the SIMT peek and the
+        // execution below. Only a SIMT fallback probes again, so the
+        // execution path never depends on how far `try_simt` got before
+        // declining.
+        let mut resident = self.resident.get(line);
+
         // Commit logging forces the sequential marker path: pipelined
         // SIMT retires whole regions in bulk, which cannot be diffed
         // retirement-for-retirement against the reference. The peek comes
         // from the resident station when available; only a cold miss on a
         // region entry consults the decoder.
         if self.config.enable_simt && !self.commit_log {
-            let peeked = match self.resident.get(&line).copied() {
+            let peeked = match resident {
                 Some(c) => {
                     let slot_in = ((pc - line) / INST_BYTES) as usize;
                     match self.clusters[c].stations[slot_in] {
@@ -660,11 +710,15 @@ impl RingSim {
                 if self.try_simt(pc, inst, shared)? {
                     return Ok(());
                 }
+                resident = self.resident.get(line);
             }
         }
 
         let was_redirect = std::mem::take(&mut self.redirect_pending);
-        let cluster = self.ensure_resident(line, was_redirect, shared);
+        let cluster = match resident {
+            Some(c) => c,
+            None => self.fetch_resident(line, was_redirect, shared),
+        };
         let slot_in = ((pc - line) / INST_BYTES) as usize;
         let slot = cluster * self.config.pes_per_cluster + slot_in;
 
@@ -687,7 +741,7 @@ impl RingSim {
         // Source operands: value + validity time at this PE slot.
         let mut op_ready = 0u64;
         for src in st.srcs.iter() {
-            let t = self.lanes.ready_at(src, slot, self.geom);
+            let t = self.lanes.ready_at(src, slot, &self.geom);
             let raw = self.lanes.raw_ready(src);
             self.stats.counters.add(Counter::LaneTransports, t - raw);
             if t > raw && self.tracer.enabled() {

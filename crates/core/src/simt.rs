@@ -126,7 +126,7 @@ impl RingSim {
         let entry_slot = self.stage_slot(0, pc_s, &region);
         let mut t0 = self.time_floor;
         for src in [rc, r_step, r_end] {
-            t0 = t0.max(self.lanes.ready_at(src.into(), entry_slot, self.geom));
+            t0 = t0.max(self.lanes.ready_at(src.into(), entry_slot, &self.geom));
         }
         let (stage_ready, fetched) = self.load_region(&region, t0, shared);
         let t0 = (t0 + 1).max(stage_ready[0]);
@@ -363,7 +363,7 @@ impl RingSim {
             .lines
             .iter()
             .enumerate()
-            .all(|(i, l)| self.resident.get(l) == Some(&i));
+            .all(|(i, &l)| self.resident.get(l) == Some(i));
         if already {
             return (
                 (0..region.lines.len())
@@ -448,7 +448,7 @@ impl RingSim {
             let slot = self.stage_slot(stage, pc, region);
             let mut start = spawn.max(stage_ready[stage]).max(slot_busy[k]);
             for src in st.srcs.iter() {
-                start = start.max(lanes.ready_at(src, slot, self.geom));
+                start = start.max(lanes.ready_at(src, slot, &self.geom));
             }
             let result = self.eval_body_station(
                 &st,

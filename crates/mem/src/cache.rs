@@ -88,20 +88,28 @@ impl CacheStats {
     }
 }
 
-#[derive(Debug, Clone, Copy, Default)]
-struct Line {
-    tag: u32,
-    valid: bool,
-    dirty: bool,
-    /// Larger = more recently used.
-    lru: u64,
-}
-
 /// A set-associative, LRU, write-back (timing-only) cache array.
+///
+/// Line state lives in parallel primitive vectors allocated zeroed, so a
+/// fresh array costs no per-line initialisation and sets that are never
+/// touched are never written. A line is valid exactly when its LRU stamp
+/// is non-zero: stamps come from a tick that is incremented before every
+/// access, and invalidation zeroes them.
 #[derive(Debug, Clone)]
 pub struct CacheArray {
     config: CacheConfig,
-    lines: Vec<Line>,
+    /// Byte address → line address shift (log2 of the line size).
+    line_shift: u32,
+    /// Line address → set shift (log2 of the set count).
+    set_shift: u32,
+    /// Line address → set mask (sets − 1).
+    set_mask: u32,
+    /// Line address → bank mask (banks − 1).
+    bank_mask: u32,
+    tags: Vec<u32>,
+    /// Last-use tick per line; larger = more recently used, 0 = invalid.
+    lru: Vec<u64>,
+    dirty: Vec<bool>,
     tick: u64,
     stats: CacheStats,
 }
@@ -120,8 +128,9 @@ impl CacheArray {
     ///
     /// # Panics
     ///
-    /// Panics if the geometry is degenerate (zero sets or ways, or a
-    /// non-power-of-two line size).
+    /// Panics if the geometry is degenerate: zero ways, or a line size,
+    /// set count, or bank count that is not a power of two (every
+    /// address is mapped with shifts and masks).
     pub fn new(config: CacheConfig) -> CacheArray {
         assert!(config.ways > 0, "cache must have at least one way");
         assert!(
@@ -130,9 +139,21 @@ impl CacheArray {
         );
         let sets = config.sets();
         assert!(sets > 0, "cache must have at least one set");
+        assert!(sets.is_power_of_two(), "set count must be a power of two");
+        assert!(
+            config.banks.is_power_of_two(),
+            "bank count must be a power of two"
+        );
+        let lines = (sets * config.ways) as usize;
         CacheArray {
             config,
-            lines: vec![Line::default(); (sets * config.ways) as usize],
+            line_shift: config.line_bytes.trailing_zeros(),
+            set_shift: sets.trailing_zeros(),
+            set_mask: sets - 1,
+            bank_mask: config.banks - 1,
+            tags: vec![0; lines],
+            lru: vec![0; lines],
+            dirty: vec![false; lines],
             tick: 0,
             stats: CacheStats::default(),
         }
@@ -148,16 +169,26 @@ impl CacheArray {
         self.stats
     }
 
-    fn index_of(&self, addr: u32) -> (u32, u32) {
-        let line_addr = addr / self.config.line_bytes;
-        let set = line_addr % self.config.sets();
-        let tag = line_addr / self.config.sets();
-        (set, tag)
+    /// The `(set, tag)` an address maps to.
+    #[inline]
+    pub fn set_and_tag(&self, addr: u32) -> (u32, u32) {
+        let line_addr = addr >> self.line_shift;
+        (line_addr & self.set_mask, line_addr >> self.set_shift)
     }
 
     /// The bank an address maps to.
+    #[inline]
     pub fn bank_of(&self, addr: u32) -> u32 {
-        (addr / self.config.line_bytes) % self.config.banks
+        (addr >> self.line_shift) & self.bank_mask
+    }
+
+    /// Line slots `base..base + ways` of `addr`'s set, and its tag.
+    #[inline]
+    fn slots_of(&self, addr: u32) -> (std::ops::Range<usize>, u32) {
+        let (set, tag) = self.set_and_tag(addr);
+        let ways = self.config.ways as usize;
+        let base = set as usize * ways;
+        (base..base + ways, tag)
     }
 
     /// Looks up `addr`; on a miss, fills the line (evicting LRU). `write`
@@ -167,45 +198,36 @@ impl CacheArray {
     pub fn access(&mut self, addr: u32, write: bool) -> LookupResult {
         self.tick += 1;
         self.stats.accesses += 1;
-        let (set, tag) = self.index_of(addr);
-        let base = (set * self.config.ways) as usize;
-        let ways = self.config.ways as usize;
+        let (slots, tag) = self.slots_of(addr);
+        let tags = &mut self.tags[slots.clone()];
+        let lru = &mut self.lru[slots.clone()];
+        let dirty = &mut self.dirty[slots];
         // Hit path.
-        for way in 0..ways {
-            let line = &mut self.lines[base + way];
-            if line.valid && line.tag == tag {
-                line.lru = self.tick;
-                line.dirty |= write;
-                self.stats.hits += 1;
-                return LookupResult {
-                    hit: true,
-                    writeback: false,
-                };
+        if let Some(way) = (0..tags.len()).find(|&w| tags[w] == tag && lru[w] != 0) {
+            lru[way] = self.tick;
+            dirty[way] |= write;
+            self.stats.hits += 1;
+            return LookupResult {
+                hit: true,
+                writeback: false,
+            };
+        }
+        // Miss: fill the least recently used way. Invalid ways (stamp 0)
+        // are always preferred; among equals the first wins.
+        self.stats.misses += 1;
+        let mut victim = 0;
+        for w in 1..lru.len() {
+            if lru[w] < lru[victim] {
+                victim = w;
             }
         }
-        // Miss: fill the LRU way.
-        self.stats.misses += 1;
-        let victim = (0..ways)
-            .min_by_key(|&w| {
-                let l = &self.lines[base + w];
-                if l.valid {
-                    l.lru + 1
-                } else {
-                    0 // invalid lines are always preferred victims
-                }
-            })
-            .expect("ways > 0");
-        let line = &mut self.lines[base + victim];
-        let writeback = line.valid && line.dirty;
+        let writeback = lru[victim] != 0 && dirty[victim];
         if writeback {
             self.stats.writebacks += 1;
         }
-        *line = Line {
-            tag,
-            valid: true,
-            dirty: write,
-            lru: self.tick,
-        };
+        tags[victim] = tag;
+        lru[victim] = self.tick;
+        dirty[victim] = write;
         LookupResult {
             hit: false,
             writeback,
@@ -214,17 +236,16 @@ impl CacheArray {
 
     /// Whether `addr`'s line is currently resident (no state change).
     pub fn probe(&self, addr: u32) -> bool {
-        let (set, tag) = self.index_of(addr);
-        let base = (set * self.config.ways) as usize;
-        (0..self.config.ways as usize)
-            .any(|w| self.lines[base + w].valid && self.lines[base + w].tag == tag)
+        let (slots, tag) = self.slots_of(addr);
+        slots
+            .into_iter()
+            .any(|i| self.tags[i] == tag && self.lru[i] != 0)
     }
 
     /// Invalidates the whole cache (keeps statistics).
     pub fn flush(&mut self) {
-        for line in &mut self.lines {
-            *line = Line::default();
-        }
+        self.lru.fill(0);
+        self.dirty.fill(false);
     }
 }
 

@@ -29,19 +29,13 @@ impl OccupancyPool {
         }
     }
 
+    /// Occupies the first unit free at `ready`, or else the first of the
+    /// earliest-freeing units; returns the cycle the grant starts.
     fn issue(&mut self, ready: u64, occupancy: u64) -> u64 {
-        let idx = self
-            .next_free
-            .iter()
-            .position(|&t| t <= ready)
-            .unwrap_or_else(|| {
-                self.next_free
-                    .iter()
-                    .enumerate()
-                    .min_by_key(|(_, &t)| t)
-                    .map(|(i, _)| i)
-                    .expect("pool non-empty")
-            });
+        let free = &self.next_free;
+        let idx = free.iter().position(|&t| t <= ready).unwrap_or_else(|| {
+            (1..free.len()).fold(0, |best, i| if free[i] < free[best] { i } else { best })
+        });
         let start = ready.max(self.next_free[idx]);
         self.next_free[idx] = start + occupancy;
         start

@@ -29,7 +29,13 @@ pub struct Lsu {
 
 impl Lsu {
     /// Creates an LSU with the given outstanding-request window.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `depth` is zero: such a unit could never accept a
+    /// request.
     pub fn new(depth: usize) -> Lsu {
+        assert!(depth > 0, "LSU depth must be positive");
         Lsu {
             outstanding: Vec::with_capacity(depth),
             depth,
@@ -75,11 +81,9 @@ impl Lsu {
             match self.try_issue(t) {
                 Some(start) => return (start, start.saturating_sub(now)),
                 None => {
-                    let free_at = self
-                        .front_completion()
-                        .expect("full queue has a front")
-                        .max(t + 1);
-                    t = free_at;
+                    // The queue is full and `depth > 0`, so it has a front.
+                    let front = self.front_completion().unwrap_or(t);
+                    t = front.max(t + 1);
                 }
             }
         }

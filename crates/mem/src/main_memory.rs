@@ -48,13 +48,28 @@ impl MainMemory {
 
     /// Loads a program image (text and data segments).
     pub fn load_program(&mut self, program: &Program) {
-        let mut addr = program.text_base();
-        for &word in program.text() {
-            self.write_u32(addr, word);
-            addr += 4;
-        }
-        for (i, &byte) in program.data().iter().enumerate() {
-            self.write_u8(program.data_base() + i as u32, byte);
+        let text: Vec<u8> = program
+            .text()
+            .iter()
+            .flat_map(|word| word.to_le_bytes())
+            .collect();
+        self.write_bytes(program.text_base(), &text);
+        self.write_bytes(program.data_base(), program.data());
+    }
+
+    /// Copies `bytes` to consecutive addresses from `addr`, one page-sized
+    /// chunk (and one page lookup) at a time. Every page the range
+    /// overlaps becomes resident, zero bytes included.
+    fn write_bytes(&mut self, addr: u32, bytes: &[u8]) {
+        let mut addr = addr;
+        let mut rest = bytes;
+        while !rest.is_empty() {
+            let offset = (addr as usize) & (PAGE_SIZE - 1);
+            let n = rest.len().min(PAGE_SIZE - offset);
+            let (chunk, tail) = rest.split_at(n);
+            self.page_mut(addr)[offset..offset + n].copy_from_slice(chunk);
+            addr = addr.wrapping_add(n as u32);
+            rest = tail;
         }
     }
 
@@ -223,6 +238,34 @@ mod tests {
         let mem = MainMemory::with_program(&p);
         assert_eq!(mem.read_u32(p.text_base()), p.text()[0]);
         assert_eq!(mem.read_u32(p.symbol("v").unwrap()), 99);
+    }
+
+    #[test]
+    fn write_bytes_matches_bytewise_writes() {
+        // Ranges inside one page, spanning pages, and wrapping the top of
+        // the address space.
+        let payload: Vec<u8> = (0..3 * PAGE_SIZE as u32 + 17)
+            .map(|i| (i % 251) as u8)
+            .collect();
+        for (start, len) in [
+            (0x100u32, 64usize),
+            (PAGE_SIZE as u32 - 3, 10),
+            (0x2_0005, payload.len()),
+            (u32::MAX - 5, 12),
+            (0x40, 0),
+        ] {
+            let mut chunked = MainMemory::new();
+            chunked.write_bytes(start, &payload[..len]);
+            let mut bytewise = MainMemory::new();
+            for (i, &b) in payload[..len].iter().enumerate() {
+                bytewise.write_u8(start.wrapping_add(i as u32), b);
+            }
+            assert_eq!(chunked.resident_pages(), bytewise.resident_pages());
+            for i in 0..len as u32 + 8 {
+                let a = start.wrapping_add(i).wrapping_sub(4);
+                assert_eq!(chunked.read_u8(a), bytewise.read_u8(a), "{start:#x}+{i}");
+            }
+        }
     }
 
     #[test]

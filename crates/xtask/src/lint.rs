@@ -13,13 +13,16 @@
 //! stack (`crates/trace`, `crates/profile`, `crates/telemetry`) is
 //! attached to live runs precisely to explain them — a panic inside a
 //! tracer, profiler, or metrics hook destroys the run it was observing.
+//! The memory system (`crates/mem`) sits on every simulated load and
+//! store of all three machines — a panic there aborts the run instead
+//! of reporting it.
 //! Clippy's `unwrap_used` lint cannot be adopted piecemeal without
 //! attribute noise at every test module, so this is a small,
 //! dependency-free scanner with the policy hard-coded:
 //!
-//! - only `crates/core/src`, `crates/sim/src`, `crates/pipeline/src`,
-//!   `crates/serve/src`, `crates/bench/src`, `crates/power/src`,
-//!   `crates/trace/src`, `crates/profile/src`, and
+//! - only `crates/core/src`, `crates/sim/src`, `crates/mem/src`,
+//!   `crates/pipeline/src`, `crates/serve/src`, `crates/bench/src`,
+//!   `crates/power/src`, `crates/trace/src`, `crates/profile/src`, and
 //!   `crates/telemetry/src` are in scope;
 //! - `#[cfg(test)]` items (and everything nested inside them) are
 //!   exempt;
@@ -34,6 +37,7 @@ use std::process::ExitCode;
 const SCOPE: &[&str] = &[
     "crates/core/src",
     "crates/sim/src",
+    "crates/mem/src",
     "crates/pipeline/src",
     "crates/serve/src",
     "crates/bench/src",
