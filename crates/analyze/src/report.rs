@@ -6,26 +6,8 @@
 //! `format!` is clearer than a serialization framework.
 
 use crate::Analysis;
+use diag_trace::json::escape;
 use std::fmt::Write as _;
-
-/// Escapes `s` for inclusion in a JSON string literal.
-fn json_escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\t' => out.push_str("\\t"),
-            '\r' => out.push_str("\\r"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
-        }
-    }
-    out
-}
 
 /// Formats an IPC bound with two decimals.
 fn ipc(v: f64) -> String {
@@ -107,7 +89,7 @@ pub fn text_report(name: &str, program: &diag_asm::Program, analysis: &Analysis)
 pub fn json_report(name: &str, analysis: &Analysis) -> String {
     let mut out = String::new();
     out.push('{');
-    let _ = write!(out, "\"name\":\"{}\",", json_escape(name));
+    let _ = write!(out, "\"name\":\"{}\",", escape(name));
     let _ = write!(out, "\"text_insts\":{},", analysis.text_insts);
     let _ = write!(out, "\"blocks\":{},", analysis.cfg.blocks.len());
     let _ = write!(
@@ -162,13 +144,13 @@ pub fn json_report(name: &str, analysis: &Analysis) -> String {
             d.lint.id(),
             d.pc_range.0,
             d.pc_range.1,
-            json_escape(&d.message),
+            escape(&d.message),
         );
         for (j, line) in d.context.iter().enumerate() {
             if j > 0 {
                 out.push(',');
             }
-            let _ = write!(out, "\"{}\"", json_escape(line));
+            let _ = write!(out, "\"{}\"", escape(line));
         }
         out.push_str("]}");
     }

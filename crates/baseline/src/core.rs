@@ -15,10 +15,8 @@ use std::sync::Arc;
 use diag_isa::{ExecKind, StationSlot, StationTable};
 use diag_mem::{CacheArray, LaneLookup, Lsu, MainMemory, MemLane, PrivateCache};
 use diag_sim::interp::{station_step, ArchState, MemEffect};
-use diag_sim::{
-    Activity, Bucket, Commit, Observer, Profiler, RetireSample, SimError, StallBreakdown,
-};
-use diag_trace::{Event, EventKind, StallCause, Tracer, Track};
+use diag_sim::{Activity, Bucket, Probes, Retirement, SimError, StallBreakdown};
+use diag_trace::{Event, EventKind, StallCause, Track};
 
 use crate::bpred::BranchPredictor;
 use crate::config::O3Config;
@@ -72,19 +70,9 @@ pub struct O3Core {
     last_fetch_line: u32,
     committed_count: u64,
     thread_id: usize,
-    /// Whether retirements are appended to `commits`.
-    pub(crate) commit_log: bool,
-    /// Retirements logged since the machine last drained them.
-    pub(crate) commits: Vec<Commit>,
-    /// Trace sink (disabled by default; set through the machine's
-    /// `set_tracer`). Baseline events ride on [`Track::Core`].
-    pub(crate) tracer: Tracer,
-    /// Cycle-accounting profiler (disabled by default; set through the
-    /// machine's `set_profiler`).
-    pub(crate) profiler: Profiler,
-    /// Verifier-soundness observer (disabled by default; set through the
-    /// machine's `set_observer`).
-    pub(crate) observer: Observer,
+    /// The machine's probes, cloned at wave launch. Baseline events ride
+    /// on [`Track::Core`].
+    pub(crate) probes: Probes,
     /// PC the in-flight instruction's stalls are attributed to
     /// (`station_step` advances the architectural PC mid-step).
     prof_pc: u32,
@@ -129,11 +117,7 @@ impl O3Core {
             last_fetch_line: u32::MAX,
             committed_count: 0,
             thread_id,
-            commit_log: false,
-            commits: Vec::new(),
-            tracer: Tracer::off(),
-            profiler: Profiler::off(),
-            observer: Observer::off(),
+            probes: Probes::default(),
             prof_pc: entry,
             cfg,
             stations,
@@ -150,20 +134,10 @@ impl O3Core {
             return;
         }
         self.stats.stalls.add_cycles(cause, cycles);
-        self.profiler.stall(self.prof_pc, cause, cycles);
         let thread = self.thread_id as u32;
-        self.tracer.emit(|| Event {
-            cycle: end.saturating_sub(cycles),
-            thread,
-            track: Track::Core(thread),
-            kind: EventKind::StallBegin { cause },
-        });
-        self.tracer.emit(|| Event {
-            cycle: end,
-            thread,
-            track: Track::Core(thread),
-            kind: EventKind::StallEnd { cause, cycles },
-        });
+        let track = Track::Core(thread);
+        self.probes
+            .stall(self.prof_pc, thread, track, cause, end, cycles);
     }
 
     /// This core's hardware-thread id.
@@ -207,7 +181,9 @@ impl O3Core {
         let rename0 = rename_t;
         // ROB occupancy: dispatch stalls until a slot frees.
         while self.rob.len() >= self.cfg.rob_size {
-            let freed = self.rob.pop_front().expect("rob non-empty");
+            let Some(freed) = self.rob.pop_front() else {
+                break;
+            };
             if freed > rename_t {
                 self.stall(StallCause::Structural, freed, freed - rename_t);
                 rename_t = freed;
@@ -237,14 +213,9 @@ impl O3Core {
         }
         let info = station_step(&mut self.state, &self.stations, mem, None)?;
         debug_assert_eq!(info.pc, before_regs_pc);
-        self.observer.retire(
-            info.pc,
-            info.dest,
-            match info.mem {
-                MemEffect::Load { addr, .. } | MemEffect::Store { addr, .. } => Some(addr),
-                MemEffect::None => None,
-            },
-        );
+        // A local copy: moving `info.dest` into the retirement record
+        // straight from `info` costs an unaligned copy on every step.
+        let dest = info.dest;
 
         // ---- issue ------------------------------------------------------
         let mut ready = rename_t + 1;
@@ -256,7 +227,9 @@ impl O3Core {
         // rename until issue; it cannot even enter the queue until the
         // instruction `iq_size` older has left it.
         while self.iq.len() >= self.cfg.iq_size {
-            let oldest = self.iq.pop_front().expect("iq non-empty");
+            let Some(oldest) = self.iq.pop_front() else {
+                break;
+            };
             if oldest > ready {
                 self.stall(StallCause::Structural, oldest, oldest - ready);
                 ready = oldest;
@@ -287,13 +260,15 @@ impl O3Core {
                 let tid = self.thread_id as u32;
                 let (at, waited, id) =
                     self.lsq
-                        .issue_blocking_traced(want, false, &self.tracer, tid, tid);
+                        .issue_blocking_traced(want, false, self.probes.tracer(), tid, tid);
                 self.stall(StallCause::Memory, at, waited);
                 let ready_at = if forward {
                     self.stats.activity.memlane_hits += 1;
                     at + 1
                 } else {
-                    let out = self.l1d.access_traced(addr, false, at, &self.tracer, tid);
+                    let out = self
+                        .l1d
+                        .access_traced(addr, false, at, self.probes.tracer(), tid);
                     self.count_cache(out.l1_hit, out.l2_hit);
                     if !out.l1_hit {
                         let hit_time = at + self.cfg.l1d.hit_latency as u64;
@@ -306,7 +281,7 @@ impl O3Core {
                     out.ready_at
                 };
                 self.lsq
-                    .complete_at_traced(ready_at, id, &self.tracer, tid, tid);
+                    .complete_at_traced(ready_at, id, self.probes.tracer(), tid, tid);
                 ready_at
             }
             MemEffect::Store { addr, size } => {
@@ -315,16 +290,18 @@ impl O3Core {
                 let tid = self.thread_id as u32;
                 let (at, waited, id) =
                     self.lsq
-                        .issue_blocking_traced(want, true, &self.tracer, tid, tid);
+                        .issue_blocking_traced(want, true, self.probes.tracer(), tid, tid);
                 self.stall(StallCause::Memory, at, waited);
                 self.store_floor = at;
                 self.store_buffer.push_store(addr, size, 0, at);
                 self.store_buffer.trim();
-                let out = self.l1d.access_traced(addr, true, at, &self.tracer, tid);
+                let out = self
+                    .l1d
+                    .access_traced(addr, true, at, self.probes.tracer(), tid);
                 self.count_cache(out.l1_hit, out.l2_hit);
                 let done = at + 1;
                 self.lsq
-                    .complete_at_traced(done, id, &self.tracer, tid, tid);
+                    .complete_at_traced(done, id, self.probes.tracer(), tid, tid);
                 done
             }
             MemEffect::None => {
@@ -340,7 +317,7 @@ impl O3Core {
         };
 
         // ---- writeback ---------------------------------------------------
-        if let Some((lane, _)) = info.dest {
+        if let Some((lane, _)) = dest {
             if !lane.is_zero() {
                 self.reg_ready[lane.index()] = finish;
                 self.stats.activity.reg_writes += 1;
@@ -365,7 +342,7 @@ impl O3Core {
                 let redirect = finish + 1;
                 let thread = self.thread_id as u32;
                 let (from_pc, to_pc) = (pc, info.next_pc);
-                self.tracer.emit(|| Event {
+                self.probes.emit(|| Event {
                     cycle: redirect,
                     thread,
                     track: Track::Core(thread),
@@ -389,7 +366,8 @@ impl O3Core {
 
         // ---- commit -------------------------------------------------------
         let commit_t = self.commit_bw.next(finish.max(self.last_commit));
-        self.profiler.retire(|| {
+        let thread = self.thread_id as u32;
+        if self.probes.retiring() {
             // Walk the pipeline-stage boundary chain, clipping each
             // boundary to the previous commit clock: frontend to
             // dispatch, ROB back-pressure, source wait, issue-side
@@ -416,35 +394,22 @@ impl O3Core {
                     cur = b;
                 }
             }
-            RetireSample {
+            self.probes.retire(&Retirement {
+                thread,
                 pc,
-                cluster: 0,
-                slot: 0,
+                dest,
+                addr: info.mem.addr(),
+                pe: None,
                 reused: false,
-                parts,
-            }
-        });
-        let thread = self.thread_id as u32;
-        self.tracer.emit(|| Event {
-            cycle: commit_t,
-            thread,
-            track: Track::Core(thread),
-            kind: EventKind::PeRetire {
-                pc,
                 start: issue_t,
                 finish,
-            },
-        });
+                commit: commit_t,
+                parts,
+            });
+        }
         self.last_commit = commit_t;
         self.rob.push_back(commit_t);
         self.committed_count += 1;
-        if self.commit_log {
-            self.commits.push(Commit {
-                thread: self.thread_id as u32,
-                pc,
-                dest: info.dest.filter(|(lane, _)| !lane.is_zero()),
-            });
-        }
         if self.committed_count.is_multiple_of(4096) {
             // Nothing issues before the oldest possible in-flight fetch.
             let safe = self
@@ -457,7 +422,7 @@ impl O3Core {
         }
         if self.state.halted {
             self.halted = true;
-            self.tracer.emit(|| Event {
+            self.probes.emit(|| Event {
                 cycle: commit_t,
                 thread,
                 track: Track::Core(thread),

@@ -54,6 +54,7 @@ impl FuPool {
                             .enumerate()
                             .min_by_key(|(_, &t)| t)
                             .map(|(i, _)| i)
+                            // lint: allow(unwrap) — `FuPool::new` asserts at least one unit.
                             .expect("pool is non-empty")
                     });
                 let start = ready.max(next_free[idx]);

@@ -13,10 +13,8 @@ use diag_asm::Program;
 use diag_isa::{StationSlot, StationTable};
 use diag_mem::MainMemory;
 use diag_sim::interp::{station_step, ArchState, MemEffect};
-use diag_sim::{
-    Bucket, Commit, Machine, Observer, Profiler, RetireSample, RunStats, SimError, StepOutcome,
-};
-use diag_trace::{Event, EventKind, Tracer, Track};
+use diag_sim::{Bucket, Machine, Probes, Retirement, RunStats, SimError, StepOutcome};
+use diag_trace::{Event, EventKind, Track};
 
 /// Flat memory access latency for the reference machine.
 const MEM_LATENCY: u64 = 4;
@@ -37,6 +35,8 @@ struct InOrderRun {
     stations: Arc<StationTable>,
     threads: usize,
     mem: MainMemory,
+    /// The machine's probes as of [`Machine::load`].
+    probes: Probes,
     state: ArchState,
     reg_ready: [u64; diag_isa::NUM_LANES],
     clock: u64,
@@ -69,11 +69,7 @@ pub struct InOrder {
     max_cycles: u64,
     run: Option<InOrderRun>,
     last_stats: Option<RunStats>,
-    commit_log: bool,
-    commits: Vec<Commit>,
-    tracer: Tracer,
-    profiler: Profiler,
-    observer: Observer,
+    probes: Probes,
 }
 
 impl Default for InOrder {
@@ -89,11 +85,7 @@ impl InOrder {
             max_cycles: diag_sim::DEFAULT_CYCLE_LIMIT,
             run: None,
             last_stats: None,
-            commit_log: false,
-            commits: Vec::new(),
-            tracer: Tracer::off(),
-            profiler: Profiler::off(),
-            observer: Observer::off(),
+            probes: Probes::default(),
         }
     }
 
@@ -116,7 +108,7 @@ impl InOrder {
         let program = Arc::new(program.clone());
         let mem = MainMemory::with_program(&program);
         self.last_stats = None;
-        self.commits.clear();
+        self.probes.clear_commits();
         self.run = Some(InOrderRun {
             state: ArchState::new_thread(program.entry(), 0, threads),
             stations: match stations {
@@ -126,6 +118,7 @@ impl InOrder {
             program,
             threads,
             mem,
+            probes: self.probes.clone(),
             reg_ready: [0u64; diag_isa::NUM_LANES],
             clock: 0,
             tid: 0,
@@ -137,7 +130,7 @@ impl InOrder {
             },
             halted: false,
         });
-        self.tracer.emit(|| Event {
+        self.probes.emit(|| Event {
             cycle: 0,
             thread: 0,
             track: Track::Core(0),
@@ -176,14 +169,9 @@ impl Machine for InOrder {
             }
         };
         let info = station_step(&mut run.state, &run.stations, &mut run.mem, None)?;
-        self.observer.retire(
-            info.pc,
-            info.dest,
-            match info.mem {
-                MemEffect::Load { addr, .. } | MemEffect::Store { addr, .. } => Some(addr),
-                MemEffect::None => None,
-            },
-        );
+        // A local copy: moving `info.dest` into the retirement record
+        // straight from `info` costs an unaligned copy on every step.
+        let dest = info.dest;
         let prev_clock = run.clock;
         let mut start = run.clock;
         for src in st.srcs.iter() {
@@ -194,7 +182,7 @@ impl Machine for InOrder {
             _ => MEM_LATENCY,
         };
         let finish = start + latency;
-        if let Some((lane, _)) = info.dest {
+        if let Some((lane, _)) = dest {
             if !lane.is_zero() {
                 run.reg_ready[lane.index()] = finish;
                 run.stats.activity.reg_writes += 1;
@@ -202,7 +190,8 @@ impl Machine for InOrder {
         }
         run.clock = start + 1 + if info.redirected { BRANCH_BUBBLE } else { 0 };
         let new_clock = run.clock;
-        self.profiler.retire(|| {
+        let tid = run.tid as u32;
+        if run.probes.retiring() {
             // [prev, start) waits on sources, the single-issue cycle is
             // retiring (memory-bound for loads/stores), and a taken
             // branch's bubble is transit — summing to the clock delta.
@@ -215,14 +204,19 @@ impl Machine for InOrder {
             };
             parts[exec_bucket.index()] += 1;
             parts[Bucket::RingTransit.index()] += new_clock - start - 1;
-            RetireSample {
+            run.probes.retire(&Retirement {
+                thread: tid,
                 pc: info.pc,
-                cluster: 0,
-                slot: 0,
+                dest,
+                addr: info.mem.addr(),
+                pe: None,
                 reused: false,
+                start,
+                finish,
+                commit: new_clock,
                 parts,
-            }
-        });
+            });
+        }
         run.stats.committed += 1;
         run.stats.activity.decodes += 1;
         match info.mem {
@@ -236,24 +230,6 @@ impl Machine for InOrder {
                 }
             }
         }
-        if self.commit_log {
-            self.commits.push(Commit {
-                thread: run.tid as u32,
-                pc: info.pc,
-                dest: info.dest.filter(|(lane, _)| !lane.is_zero()),
-            });
-        }
-        let tid = run.tid as u32;
-        self.tracer.emit(|| Event {
-            cycle: run.clock,
-            thread: tid,
-            track: Track::Core(tid),
-            kind: EventKind::PeRetire {
-                pc: info.pc,
-                start,
-                finish,
-            },
-        });
         if run.clock > self.max_cycles {
             return Err(SimError::CycleLimit {
                 limit: self.max_cycles,
@@ -261,13 +237,13 @@ impl Machine for InOrder {
         }
         if run.state.halted {
             let at = run.clock;
-            self.tracer.emit(|| Event {
+            run.probes.emit(|| Event {
                 cycle: at,
                 thread: tid,
                 track: Track::Core(tid),
                 kind: EventKind::ThreadHalt,
             });
-            self.profiler.thread_span(tid, 0, run.clock);
+            run.probes.profiler().thread_span(tid, 0, run.clock);
             run.total_cycles += run.clock;
             run.tid += 1;
             if run.tid < run.threads {
@@ -277,7 +253,7 @@ impl Machine for InOrder {
                 run.reg_ready = [0u64; diag_isa::NUM_LANES];
                 run.clock = 0;
                 let next = run.tid as u32;
-                self.tracer.emit(|| Event {
+                run.probes.emit(|| Event {
                     cycle: 0,
                     thread: next,
                     track: Track::Core(next),
@@ -287,7 +263,7 @@ impl Machine for InOrder {
                 run.stats.cycles = run.total_cycles;
                 run.halted = true;
                 self.last_stats = Some(run.stats);
-                let _ = self.tracer.flush();
+                let _ = run.probes.tracer().flush();
                 return Ok(StepOutcome::Halted);
             }
         }
@@ -306,32 +282,12 @@ impl Machine for InOrder {
         stats
     }
 
-    fn set_tracer(&mut self, tracer: Tracer) {
-        self.tracer = tracer;
-    }
-
-    fn set_profiler(&mut self, profiler: Profiler) {
-        self.profiler = profiler;
-    }
-
-    fn set_observer(&mut self, observer: Observer) {
-        self.observer = observer;
-    }
-
-    fn set_commit_log(&mut self, enabled: bool) {
-        self.commit_log = enabled;
-    }
-
-    fn take_commits(&mut self) -> Vec<Commit> {
-        std::mem::take(&mut self.commits)
+    fn probes_mut(&mut self) -> Option<&mut Probes> {
+        Some(&mut self.probes)
     }
 
     fn read_word(&self, addr: u32) -> u32 {
         self.run.as_ref().map_or(0, |r| r.mem.read_u32(addr))
-    }
-
-    fn as_any(&self) -> &dyn std::any::Any {
-        self
     }
 }
 

@@ -12,8 +12,8 @@ use std::sync::Arc;
 use diag_asm::Program;
 use diag_isa::StationTable;
 use diag_mem::{MainMemory, PrivateCache, SharedLevel};
-use diag_sim::{Commit, Machine, Observer, Profiler, RunStats, SimError, StepOutcome};
-use diag_trace::{Event, EventKind, Tracer, Track};
+use diag_sim::{Machine, Probes, RunStats, SimError, StepOutcome};
+use diag_trace::{Event, EventKind, Track};
 
 use crate::config::O3Config;
 use crate::core::O3Core;
@@ -28,6 +28,9 @@ struct OooRun {
     threads: usize,
     mem: MainMemory,
     l2: Rc<RefCell<SharedLevel>>,
+    /// The machine's probes as of [`Machine::load`], cloned into each
+    /// wave's cores.
+    probes: Probes,
     /// Cores of the current wave.
     cores: Vec<O3Core>,
     /// Aggregate statistics of completed waves.
@@ -42,15 +45,7 @@ struct OooRun {
 
 impl OooRun {
     /// Launches the next wave of threads onto fresh cores.
-    fn launch_wave(
-        &mut self,
-        config: &Arc<O3Config>,
-        max_cores: usize,
-        commit_log: bool,
-        tracer: &Tracer,
-        profiler: &Profiler,
-        observer: &Observer,
-    ) {
+    fn launch_wave(&mut self, config: &Arc<O3Config>, max_cores: usize) {
         let batch = max_cores.min(self.threads - self.next_tid);
         let at = self.wave_start;
         self.cores = (0..batch)
@@ -65,12 +60,9 @@ impl OooRun {
                     self.threads,
                     self.wave_start,
                 );
-                core.commit_log = commit_log;
-                core.tracer = tracer.clone();
-                core.profiler = profiler.clone();
-                core.observer = observer.clone();
+                core.probes = self.probes.clone();
                 let thread = core.thread_id() as u32;
-                tracer.emit(|| Event {
+                self.probes.emit(|| Event {
                     cycle: at,
                     thread,
                     track: Track::Core(thread),
@@ -83,12 +75,14 @@ impl OooRun {
     }
 
     /// Folds a finished wave's cores into the aggregate statistics.
-    fn finish_wave(&mut self, profiler: &Profiler) {
+    fn finish_wave(&mut self) {
         // The wave's launch time (`wave_start` is pushed forward inside
         // the loop, so read the floor before the first core).
         let floor = self.wave_start;
         for core in &self.cores {
-            profiler.thread_span(core.thread_id() as u32, floor, core.clock());
+            self.probes
+                .profiler()
+                .thread_span(core.thread_id() as u32, floor, core.clock());
             self.committed += core.committed();
             self.stats.activity += core.stats.activity;
             self.stats.stalls += core.stats.stalls;
@@ -121,11 +115,7 @@ pub struct OooCpu {
     max_cores: usize,
     run: Option<OooRun>,
     last_stats: Option<RunStats>,
-    commit_log: bool,
-    commits: Vec<Commit>,
-    tracer: Tracer,
-    profiler: Profiler,
-    observer: Observer,
+    probes: Probes,
 }
 
 impl OooCpu {
@@ -142,11 +132,7 @@ impl OooCpu {
             max_cores,
             run: None,
             last_stats: None,
-            commit_log: false,
-            commits: Vec::new(),
-            tracer: Tracer::off(),
-            profiler: Profiler::off(),
-            observer: Observer::off(),
+            probes: Probes::default(),
         }
     }
 
@@ -180,7 +166,7 @@ impl OooCpu {
         let mem = MainMemory::with_program(&program);
         let l2 = SharedLevel::new(self.config.l2).into_shared();
         self.last_stats = None;
-        self.commits.clear();
+        self.probes.clear_commits();
         let mut run = OooRun {
             stations: match stations {
                 Some(table) => Arc::clone(table),
@@ -190,6 +176,7 @@ impl OooCpu {
             threads,
             mem,
             l2,
+            probes: self.probes.clone(),
             cores: Vec::new(),
             stats: RunStats {
                 threads: threads as u64,
@@ -202,14 +189,7 @@ impl OooCpu {
             finish_time: 0,
             halted: false,
         };
-        run.launch_wave(
-            &self.config,
-            self.max_cores,
-            self.commit_log,
-            &self.tracer,
-            &self.profiler,
-            &self.observer,
-        );
+        run.launch_wave(&self.config, self.max_cores);
         self.run = Some(run);
     }
 }
@@ -241,7 +221,6 @@ impl Machine for OooCpu {
             .map(|(i, _)| i);
         if let Some(idx) = next {
             run.cores[idx].step(&mut run.mem)?;
-            self.commits.append(&mut run.cores[idx].commits);
             if run.cores[idx].clock() > self.config.max_cycles {
                 return Err(SimError::CycleLimit {
                     limit: self.config.max_cycles,
@@ -249,16 +228,9 @@ impl Machine for OooCpu {
             }
             return Ok(StepOutcome::Running);
         }
-        run.finish_wave(&self.profiler);
+        run.finish_wave();
         if run.next_tid < run.threads {
-            run.launch_wave(
-                &self.config,
-                self.max_cores,
-                self.commit_log,
-                &self.tracer,
-                &self.profiler,
-                &self.observer,
-            );
+            run.launch_wave(&self.config, self.max_cores);
             Ok(StepOutcome::Running)
         } else {
             run.stats.cycles = run.finish_time;
@@ -266,7 +238,7 @@ impl Machine for OooCpu {
             run.stats.activity.busy_cycles = run.finish_time;
             run.halted = true;
             self.last_stats = Some(run.stats);
-            let _ = self.tracer.flush();
+            let _ = run.probes.tracer().flush();
             Ok(StepOutcome::Halted)
         }
     }
@@ -292,37 +264,12 @@ impl Machine for OooCpu {
         stats
     }
 
-    fn set_tracer(&mut self, tracer: Tracer) {
-        self.tracer = tracer;
-    }
-
-    fn set_profiler(&mut self, profiler: Profiler) {
-        self.profiler = profiler;
-    }
-
-    fn set_observer(&mut self, observer: Observer) {
-        self.observer = observer;
-    }
-
-    fn set_commit_log(&mut self, enabled: bool) {
-        self.commit_log = enabled;
-        if let Some(run) = &mut self.run {
-            for core in &mut run.cores {
-                core.commit_log = enabled;
-            }
-        }
-    }
-
-    fn take_commits(&mut self) -> Vec<Commit> {
-        std::mem::take(&mut self.commits)
+    fn probes_mut(&mut self) -> Option<&mut Probes> {
+        Some(&mut self.probes)
     }
 
     fn read_word(&self, addr: u32) -> u32 {
         self.run.as_ref().map_or(0, |r| r.mem.read_u32(addr))
-    }
-
-    fn as_any(&self) -> &dyn std::any::Any {
-        self
     }
 }
 

@@ -294,8 +294,8 @@ pub fn to_json(report: &BenchReport, baseline: Option<&BenchBaseline>) -> String
         out.push_str(&format!(
             "    {{\"workload\": \"{}\", \"machine\": \"{}\", \"host_ns\": {}, \
              \"committed\": {}, \"sim_cycles\": {}, \"ns_per_instr\": {:.3}{}}}{}\n",
-            row.workload,
-            row.machine,
+            json::escape(&row.workload),
+            json::escape(&row.machine),
             row.host_ns,
             row.committed,
             row.sim_cycles,
@@ -326,7 +326,7 @@ pub fn to_json(report: &BenchReport, baseline: Option<&BenchBaseline>) -> String
         report
             .failures
             .iter()
-            .map(|f| format!("\"{}\"", f.replace('\\', "\\\\").replace('"', "\\\"")))
+            .map(|f| format!("\"{}\"", json::escape(f)))
             .collect::<Vec<_>>()
             .join(", ")
     ));
@@ -426,5 +426,15 @@ mod tests {
     fn baseline_rejects_wrong_schema() {
         let err = BenchBaseline::parse("{\"schema\": \"nope\"}").unwrap_err();
         assert!(err.contains("re-record"), "{err}");
+    }
+
+    #[test]
+    fn failures_escape_control_characters() {
+        let raw = "a\"b\\c\nd\u{1}";
+        let mut report = report_with(Vec::new());
+        report.failures.push(raw.to_string());
+        let doc = json::parse(&to_json(&report, None)).expect("valid JSON");
+        let failures = doc.get("failures").and_then(json::Value::as_arr);
+        assert_eq!(failures.and_then(|f| f[0].as_str()), Some(raw));
     }
 }

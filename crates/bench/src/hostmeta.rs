@@ -13,6 +13,7 @@ use std::process::Command;
 use std::sync::OnceLock;
 
 use diag_pipeline::CacheCounters;
+use diag_trace::json::escape;
 
 /// Runs `cmd args...` and returns its first line of stdout, trimmed,
 /// when the command exists and exits successfully.
@@ -94,10 +95,7 @@ pub fn render_host_object(entries: &[(String, String)]) -> String {
         "{{{}}}",
         entries
             .iter()
-            .map(|(k, v)| format!(
-                "\"{k}\": \"{}\"",
-                v.replace('\\', "\\\\").replace('"', "\\\"")
-            ))
+            .map(|(k, v)| format!("\"{}\": \"{}\"", escape(k), escape(v)))
             .collect::<Vec<_>>()
             .join(", ")
     )
@@ -156,5 +154,16 @@ mod tests {
             "{\"rustc\": \"rustc 1.0\", \"note\": \"a \\\"quoted\\\" \\\\ thing\"}"
         );
         diag_trace::json::parse(&obj).expect("valid JSON");
+    }
+
+    #[test]
+    fn host_object_escapes_control_characters() {
+        let raw = "a\"b\\c\nd\u{1}";
+        let obj = render_host_object(&[("note".to_string(), raw.to_string())]);
+        let doc = diag_trace::json::parse(&obj).expect("valid JSON");
+        assert_eq!(
+            doc.get("note").and_then(diag_trace::json::Value::as_str),
+            Some(raw)
+        );
     }
 }

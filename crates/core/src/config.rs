@@ -121,9 +121,6 @@ pub struct DiagConfig {
     /// sparsely enabled"). Off by default — the paper leaves it as future
     /// work; the `ablation-spec` bench quantifies it.
     pub speculative_datapaths: bool,
-    /// Record a per-instruction execution trace (address, PE slot, start/
-    /// finish cycles, reuse flag) retrievable via `Diag::last_trace`.
-    pub collect_trace: bool,
 }
 
 impl DiagConfig {
@@ -155,7 +152,6 @@ impl DiagConfig {
             interrupt_at: None,
             commit_width: 16,
             speculative_datapaths: false,
-            collect_trace: false,
         }
     }
 

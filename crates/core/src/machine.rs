@@ -11,8 +11,8 @@ use std::sync::Arc;
 
 use diag_asm::Program;
 use diag_mem::MainMemory;
-use diag_sim::{Commit, Machine, Observer, Profiler, RunStats, SimError, StepOutcome};
-use diag_trace::{Event, EventKind, Tracer, Track};
+use diag_sim::{Machine, Probes, RunStats, SimError, StepOutcome};
+use diag_trace::{Event, EventKind, Track};
 
 use crate::config::DiagConfig;
 use crate::ring::RingSim;
@@ -27,6 +27,9 @@ struct DiagRun {
     ring_count: usize,
     clusters_per_ring: usize,
     shared: SharedParts,
+    /// The machine's probes as of [`Machine::load`], cloned into each
+    /// wave's rings.
+    probes: Probes,
     /// Rings of the current wave (empty only transiently).
     rings: Vec<RingSim>,
     /// Aggregate statistics of completed waves.
@@ -42,13 +45,7 @@ struct DiagRun {
 
 impl DiagRun {
     /// Launches the next wave of threads onto fresh rings.
-    fn launch_wave(
-        &mut self,
-        config: &Arc<DiagConfig>,
-        commit_log: bool,
-        profiler: &Profiler,
-        observer: &Observer,
-    ) {
+    fn launch_wave(&mut self, config: &Arc<DiagConfig>) {
         let batch = self.ring_count.min(self.threads - self.next_tid);
         self.rings = (0..batch)
             .map(|k| {
@@ -60,17 +57,14 @@ impl DiagRun {
                     self.threads,
                     self.wave_start,
                 );
-                ring.commit_log = commit_log;
-                ring.tracer = self.shared.tracer.clone();
-                ring.profiler = profiler.clone();
-                ring.observer = observer.clone();
+                ring.probes = self.probes.clone();
                 ring
             })
             .collect();
         let at = self.wave_start;
         for ring in &self.rings {
             let thread = ring.thread_id() as u32;
-            self.shared.tracer.emit(|| Event {
+            self.probes.emit(|| Event {
                 cycle: at,
                 thread,
                 track: Track::Control,
@@ -117,12 +111,7 @@ pub struct Diag {
     config: Arc<DiagConfig>,
     run: Option<DiagRun>,
     last_stats: Option<RunStats>,
-    last_trace: Vec<crate::ring::TraceEvent>,
-    commit_log: bool,
-    commits: Vec<Commit>,
-    tracer: Tracer,
-    profiler: Profiler,
-    observer: Observer,
+    probes: Probes,
 }
 
 impl Diag {
@@ -140,12 +129,7 @@ impl Diag {
             config: Arc::new(config),
             run: None,
             last_stats: None,
-            last_trace: Vec::new(),
-            commit_log: false,
-            commits: Vec::new(),
-            tracer: Tracer::off(),
-            profiler: Profiler::off(),
-            observer: Observer::off(),
+            probes: Probes::default(),
         }
     }
 
@@ -159,36 +143,14 @@ impl Diag {
         self.last_stats.as_ref()
     }
 
-    /// Per-instruction execution trace of the most recent run (empty
-    /// unless [`DiagConfig::collect_trace`] is set).
-    ///
-    /// # Ordering guarantee
-    ///
-    /// Events are sorted by retirement (commit) time *within each ring*;
-    /// across rings they are merely concatenated — first wave by wave,
-    /// then ring by ring in thread-id order within a wave — so the slice
-    /// as a whole is **not** globally cycle-sorted for multi-threaded
-    /// runs. Use [`Diag::merged_trace`] for a globally cycle-sorted view.
-    /// Events of waves completed so far are visible mid-run.
-    pub fn last_trace(&self) -> &[crate::ring::TraceEvent] {
-        &self.last_trace
-    }
-
-    /// [`Diag::last_trace`] merged across rings into a single
-    /// retirement-time-sorted stream. Ties on commit cycle are broken by
-    /// thread id, then start cycle, then PC, so the view is deterministic.
-    pub fn merged_trace(&self) -> Vec<crate::ring::TraceEvent> {
-        let mut merged = self.last_trace.clone();
-        merged.sort_by_key(|e| (e.commit, e.thread, e.start, e.pc));
-        merged
-    }
-
     /// Folds a finished wave's rings into the aggregate statistics.
-    fn finish_wave(&mut self, run: &mut DiagRun) {
-        for ring in &mut run.rings {
-            self.last_trace.append(&mut ring.trace);
-            self.profiler
-                .thread_span(ring.thread_id() as u32, run.wave_floor, ring.clock());
+    fn finish_wave(&self, run: &mut DiagRun) {
+        for ring in &run.rings {
+            run.probes.profiler().thread_span(
+                ring.thread_id() as u32,
+                run.wave_floor,
+                ring.clock(),
+            );
             run.committed += ring.commit.committed();
             run.stats.activity += ring.stats.activity();
             run.stats.stalls += ring.stats.stalls;
@@ -215,10 +177,8 @@ impl Machine for Diag {
     fn load(&mut self, program: &Program, threads: usize) {
         let threads = threads.max(1);
         let program = Arc::new(program.clone());
-        let mut shared = SharedParts::new(&self.config, MainMemory::with_program(&program));
-        shared.tracer = self.tracer.clone();
-        self.last_trace.clear();
-        self.commits.clear();
+        let shared = SharedParts::new(&self.config, MainMemory::with_program(&program));
+        self.probes.clear_commits();
         self.last_stats = None;
         let mut run = DiagRun {
             threads,
@@ -226,6 +186,7 @@ impl Machine for Diag {
             clusters_per_ring: self.config.clusters_per_ring(threads),
             program,
             shared,
+            probes: self.probes.clone(),
             rings: Vec::new(),
             stats: RunStats {
                 threads: threads as u64,
@@ -242,12 +203,7 @@ impl Machine for Diag {
         // Threads beyond the ring capacity run in waves (the scheduling
         // table frees rings as threads halt; waves are a conservative
         // approximation).
-        run.launch_wave(
-            &self.config,
-            self.commit_log,
-            &self.profiler,
-            &self.observer,
-        );
+        run.launch_wave(&self.config);
         self.run = Some(run);
     }
 
@@ -265,7 +221,6 @@ impl Machine for Diag {
             .min_by_key(|r| r.clock());
         if let Some(ring) = next {
             ring.step(&mut run.shared)?;
-            self.commits.append(&mut ring.commits);
             if ring.clock() > self.config.max_cycles {
                 return Err(SimError::CycleLimit {
                     limit: self.config.max_cycles,
@@ -281,12 +236,7 @@ impl Machine for Diag {
         };
         self.finish_wave(&mut run);
         let outcome = if run.next_tid < run.threads {
-            run.launch_wave(
-                &self.config,
-                self.commit_log,
-                &self.profiler,
-                &self.observer,
-            );
+            run.launch_wave(&self.config);
             StepOutcome::Running
         } else {
             run.stats.cycles = run.finish_time;
@@ -294,7 +244,7 @@ impl Machine for Diag {
             run.stats.activity.busy_cycles = run.finish_time;
             run.halted = true;
             self.last_stats = Some(run.stats);
-            let _ = self.tracer.flush();
+            let _ = run.probes.tracer().flush();
             StepOutcome::Halted
         };
         self.run = Some(run);
@@ -322,37 +272,12 @@ impl Machine for Diag {
         stats
     }
 
-    fn set_tracer(&mut self, tracer: Tracer) {
-        self.tracer = tracer;
-    }
-
-    fn set_profiler(&mut self, profiler: Profiler) {
-        self.profiler = profiler;
-    }
-
-    fn set_observer(&mut self, observer: Observer) {
-        self.observer = observer;
-    }
-
-    fn set_commit_log(&mut self, enabled: bool) {
-        self.commit_log = enabled;
-        if let Some(run) = &mut self.run {
-            for ring in &mut run.rings {
-                ring.commit_log = enabled;
-            }
-        }
-    }
-
-    fn take_commits(&mut self) -> Vec<Commit> {
-        std::mem::take(&mut self.commits)
+    fn probes_mut(&mut self) -> Option<&mut Probes> {
+        Some(&mut self.probes)
     }
 
     fn read_word(&self, addr: u32) -> u32 {
         self.run.as_ref().map_or(0, |r| r.shared.mem.read_u32(addr))
-    }
-
-    fn as_any(&self) -> &dyn std::any::Any {
-        self
     }
 }
 

@@ -21,10 +21,8 @@ use std::sync::Arc;
 use diag_asm::Program;
 use diag_isa::{decode, exec, ArchReg, ExecKind, Inst, Reg, Station, StationSlot, INST_BYTES};
 use diag_mem::{LaneLookup, MemLane, REGFILE_BEATS};
-use diag_sim::{
-    Activity, Bucket, Commit, Observer, Profiler, RetireSample, SimError, StallBreakdown,
-};
-use diag_trace::{Counter, Counters, Event, EventKind, StallCause, Tracer, Track};
+use diag_sim::{Activity, Bucket, Probes, Retirement, SimError, StallBreakdown};
+use diag_trace::{Counter, Counters, Event, EventKind, StallCause, Track};
 
 use crate::cluster::Cluster;
 
@@ -35,26 +33,6 @@ fn shared_line_mask() -> u32 {
 use crate::config::DiagConfig;
 use crate::lane::{CommitTracker, LaneFile, LaneGeometry};
 use crate::shared::SharedParts;
-
-/// One traced dynamic instruction (enabled by
-/// [`DiagConfig::collect_trace`]).
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct TraceEvent {
-    /// Hardware thread the instruction retired on.
-    pub thread: u32,
-    /// Instruction address.
-    pub pc: u32,
-    /// Global PE slot the instruction executed on.
-    pub slot: usize,
-    /// Cycle execution began.
-    pub start: u64,
-    /// Cycle the result (or memory data) was available.
-    pub finish: u64,
-    /// Cycle the PC lane retired it.
-    pub commit: u64,
-    /// Whether it executed from the resident datapath (no fetch/decode).
-    pub reused: bool,
-}
 
 /// Per-ring statistics merged into the machine's [`diag_sim::RunStats`].
 #[derive(Debug, Clone, Copy, Default)]
@@ -167,30 +145,16 @@ pub struct RingSim {
     pub(crate) max_resident: usize,
     /// Whether the configured asynchronous interrupt has been delivered.
     pub(crate) interrupt_taken: bool,
-    /// Collected execution trace (when configured).
-    pub(crate) trace: Vec<TraceEvent>,
     /// In-flight lane transports per buffered segment (arrival times),
     /// maintained only while a tracer is attached to feed
     /// [`diag_trace::EventKind::SegOccupancy`] events.
     pub(crate) seg_inflight: Vec<Vec<u64>>,
     pub(crate) thread_id: usize,
-    /// Whether retirements are appended to `commits`. Commit logging also
-    /// forces SIMT regions onto the sequential marker path so the stream
-    /// matches the architectural reference retirement-for-retirement.
-    pub(crate) commit_log: bool,
-    /// Retirements logged since the machine last drained them.
-    pub(crate) commits: Vec<Commit>,
-    /// The shared tracer, cloned once at wave launch so the per-step hot
-    /// loop performs no `Rc` refcount traffic. [`Tracer::off`] until the
-    /// machine installs the shared sink.
-    pub(crate) tracer: Tracer,
-    /// The shared cycle-accounting profiler, cloned at wave launch like
-    /// `tracer`. [`Profiler::off`] until the machine installs a
-    /// collector.
-    pub(crate) profiler: Profiler,
-    /// The shared verifier-soundness observer, cloned at wave launch like
-    /// `profiler`. [`Observer::off`] until the machine installs a log.
-    pub(crate) observer: Observer,
+    /// The machine's probes, cloned once at wave launch so the per-step
+    /// hot loop performs no `Rc` refcount traffic. A commit log forces
+    /// SIMT regions onto the sequential marker path, so the logged stream
+    /// matches the architectural reference retirement for retirement.
+    pub(crate) probes: Probes,
     /// Validated-SIMT-region cache keyed by the `simt_s` address. Region
     /// well-formedness is a static property of the program text, so each
     /// `simt_s` is scanned and its body lowered to stations exactly once;
@@ -246,14 +210,9 @@ impl RingSim {
             stats: RingStats::default(),
             max_resident: 0,
             interrupt_taken: false,
-            trace: Vec::new(),
             seg_inflight: Vec::new(),
             thread_id,
-            commit_log: false,
-            commits: Vec::new(),
-            tracer: Tracer::off(),
-            profiler: Profiler::off(),
-            observer: Observer::off(),
+            probes: Probes::default(),
             region_cache: diag_mem::FxHashMap::default(),
             program,
             config,
@@ -295,27 +254,15 @@ impl RingSim {
             return;
         }
         self.stats.stalls.add_cycles(cause, cycles);
-        self.profiler.stall(self.pc, cause, cycles);
-        let thread = self.thread_id as u32;
-        self.tracer.emit(|| Event {
-            cycle: end.saturating_sub(cycles),
-            thread,
-            track,
-            kind: EventKind::StallBegin { cause },
-        });
-        self.tracer.emit(|| Event {
-            cycle: end,
-            thread,
-            track,
-            kind: EventKind::StallEnd { cause, cycles },
-        });
+        self.probes
+            .stall(self.pc, self.thread_id as u32, track, cause, end, cycles);
     }
 
     /// Emits segment-buffer traffic events for one lane transport that
     /// departs the writer at `depart` and reaches the reader at `arrive`
     /// (only called with an enabled tracer).
     fn emit_transport(&mut self, lane: ArchReg, reader_slot: usize, depart: u64, arrive: u64) {
-        let tracer = self.tracer.clone();
+        let tracer = self.probes.tracer().clone();
         let thread = self.thread_id as u32;
         let l = lane.index() as u8;
         let from_slot = self.lanes.writer_of(lane);
@@ -395,7 +342,8 @@ impl RingSim {
         let arrived = if prefetched {
             initiate
         } else {
-            let (arrived, bus_wait) = shared.fetch_line(line, initiate, thread);
+            let (arrived, bus_wait) =
+                shared.fetch_line(line, initiate, thread, self.probes.tracer());
             self.stall(Track::Bus, StallCause::Structural, arrived, bus_wait);
             arrived
         };
@@ -430,7 +378,7 @@ impl RingSim {
         self.stats
             .counters
             .add(Counter::BusBeats, diag_mem::ILINE_BEATS);
-        self.tracer.emit(|| Event {
+        self.probes.emit(|| Event {
             cycle: arrived,
             thread,
             track: Track::Cluster(c as u32),
@@ -470,7 +418,7 @@ impl RingSim {
         let thread = self.thread_id as u32;
         let backward = target <= self.pc;
         let from_pc = self.pc;
-        self.tracer.emit(|| Event {
+        self.probes.emit(|| Event {
             cycle: resolve,
             thread,
             track: Track::Control,
@@ -501,7 +449,7 @@ impl RingSim {
                         let granted = shared.bus.request_traced(
                             resolve,
                             REGFILE_BEATS,
-                            &shared.tracer,
+                            self.probes.tracer(),
                             thread,
                         );
                         self.stats.counters.add(Counter::BusBeats, REGFILE_BEATS);
@@ -566,7 +514,7 @@ impl RingSim {
             let (issue, waited, id) = self.clusters[cluster].lsu.issue_blocking_traced(
                 want,
                 true,
-                &self.tracer,
+                self.probes.tracer(),
                 thread,
                 unit,
             );
@@ -576,13 +524,17 @@ impl RingSim {
             self.memlane.trim();
             let out = shared
                 .l1d
-                .access_traced(addr, true, issue, &self.tracer, thread);
+                .access_traced(addr, true, issue, self.probes.tracer(), thread);
             self.count_cache(&out);
             self.clusters[cluster].line_buf_fill(addr & !(shared_line_mask()));
             let ready = issue + 1;
-            self.clusters[cluster]
-                .lsu
-                .complete_at_traced(ready, id, &self.tracer, thread, unit);
+            self.clusters[cluster].lsu.complete_at_traced(
+                ready,
+                id,
+                self.probes.tracer(),
+                thread,
+                unit,
+            );
             (issue, ready)
         } else {
             let (want, forward) = match self.memlane.lookup(addr, size) {
@@ -605,7 +557,7 @@ impl RingSim {
             let (issue, waited, id) = self.clusters[cluster].lsu.issue_blocking_traced(
                 want,
                 false,
-                &self.tracer,
+                self.probes.tracer(),
                 thread,
                 unit,
             );
@@ -614,9 +566,10 @@ impl RingSim {
                 self.stats.counters.inc(Counter::MemlaneHits);
                 issue + 1
             } else {
-                let out = shared
-                    .l1d
-                    .access_traced(addr, false, issue, &self.tracer, thread);
+                let out =
+                    shared
+                        .l1d
+                        .access_traced(addr, false, issue, self.probes.tracer(), thread);
                 self.count_cache(&out);
                 if !out.l1_hit {
                     let hit_time = issue + self.config.l1d.hit_latency as u64;
@@ -630,9 +583,13 @@ impl RingSim {
                 self.clusters[cluster].line_buf_fill(line);
                 out.ready_at
             };
-            self.clusters[cluster]
-                .lsu
-                .complete_at_traced(ready, id, &self.tracer, thread, unit);
+            self.clusters[cluster].lsu.complete_at_traced(
+                ready,
+                id,
+                self.probes.tracer(),
+                thread,
+                unit,
+            );
             (issue, ready)
         }
     }
@@ -690,7 +647,7 @@ impl RingSim {
         // retirement-for-retirement against the reference. The peek comes
         // from the resident station when available; only a cold miss on a
         // region entry consults the decoder.
-        if self.config.enable_simt && !self.commit_log {
+        if self.config.enable_simt && !self.probes.logs_commits() {
             let peeked = match resident {
                 Some(c) => {
                     let slot_in = ((pc - line) / INST_BYTES) as usize;
@@ -744,7 +701,7 @@ impl RingSim {
             let t = self.lanes.ready_at(src, slot, &self.geom);
             let raw = self.lanes.raw_ready(src);
             self.stats.counters.add(Counter::LaneTransports, t - raw);
-            if t > raw && self.tracer.enabled() {
+            if t > raw && self.probes.tracer().enabled() {
                 self.emit_transport(src, slot, raw, t);
             }
             op_ready = op_ready.max(t);
@@ -755,7 +712,7 @@ impl RingSim {
             .max(decode_ready)
             .max(self.time_floor)
             .max(slot_free);
-        self.tracer.emit(|| Event {
+        self.probes.emit(|| Event {
             cycle: start,
             thread,
             track: Track::Pe {
@@ -956,20 +913,12 @@ impl RingSim {
             }
         }
 
-        if self.commit_log {
-            self.commits.push(Commit {
-                thread: self.thread_id as u32,
-                pc,
-                dest: lane_write.filter(|(lane, _)| !lane.is_zero()),
-            });
-        }
-        self.observer.retire(pc, lane_write, mem_addr);
         // Drive the destination lane and retire through the PC lane.
         if let Some((lane, value)) = lane_write {
             self.lanes.write(lane, value, finish, slot);
             if !lane.is_zero() {
                 self.stats.counters.inc(Counter::RegWrites);
-                self.tracer.emit(|| Event {
+                self.probes.emit(|| Event {
                     cycle: finish,
                     thread,
                     track: Track::Lane(lane.index() as u8),
@@ -992,7 +941,7 @@ impl RingSim {
             self.stats.counters.inc(Counter::IntOps);
         }
         let commit_t = self.commit.commit(finish);
-        self.profiler.retire(|| {
+        if self.probes.retiring() {
             // Partition this retirement's commit-clock delta: waiting
             // before issue, executing (memory-bound for loads/stores),
             // then commit-bandwidth queueing. Each boundary is clipped
@@ -1019,40 +968,25 @@ impl RingSim {
             };
             parts[exec_bucket.index()] += x_end - w_end;
             parts[Bucket::Retiring.index()] += commit_t - x_end;
-            RetireSample {
+            self.probes.retire(&Retirement {
+                thread,
                 pc,
-                cluster: cluster as u32,
-                slot: slot_in as u32,
+                dest: lane_write,
+                addr: mem_addr,
+                pe: Some((cluster as u32, slot_in as u32)),
                 reused,
+                start,
+                finish,
+                commit: commit_t,
                 parts,
-            }
-        });
-        self.tracer.emit(|| Event {
-            cycle: commit_t,
-            thread,
-            track: Track::Pe {
-                cluster: cluster as u32,
-                slot: slot_in as u32,
-            },
-            kind: EventKind::PeRetire { pc, start, finish },
-        });
+            });
+        }
         if self.halted {
-            self.tracer.emit(|| Event {
+            self.probes.emit(|| Event {
                 cycle: commit_t,
                 thread,
                 track: Track::Control,
                 kind: EventKind::ThreadHalt,
-            });
-        }
-        if self.config.collect_trace {
-            self.trace.push(TraceEvent {
-                thread,
-                pc,
-                slot,
-                start,
-                finish,
-                commit: commit_t,
-                reused,
             });
         }
         self.clusters[cluster].last_commit = self.clusters[cluster].last_commit.max(commit_t);

@@ -28,9 +28,6 @@ pub struct SharedParts {
     pub l2: Rc<RefCell<SharedLevel>>,
     /// Shared 512-bit bus for I-lines and register-file transfers.
     pub bus: Bus,
-    /// Trace sink shared by every ring (disabled by default; set from
-    /// [`Machine::set_tracer`](diag_sim::Machine::set_tracer) before a program is loaded).
-    pub tracer: Tracer,
 }
 
 impl SharedParts {
@@ -54,7 +51,6 @@ impl SharedParts {
             l1d,
             l2,
             bus: Bus::new(),
-            tracer: Tracer::off(),
         }
     }
 
@@ -63,13 +59,19 @@ impl SharedParts {
     /// been transported to a cluster over the shared bus (before
     /// per-cluster latch and decode), and the cycles spent waiting for the
     /// bus (a structural stall, §7.3.2). Bus arbitration is reported on
-    /// the tracer when one is attached.
-    pub fn fetch_line(&mut self, line_addr: u32, now: u64, thread: u32) -> (u64, u64) {
+    /// `tracer`.
+    pub fn fetch_line(
+        &mut self,
+        line_addr: u32,
+        now: u64,
+        thread: u32,
+        tracer: &Tracer,
+    ) -> (u64, u64) {
         let hit = self.l1i.access(line_addr, false).hit;
         let after_icache = now + 1 + if hit { 0 } else { L1I_MISS_PENALTY };
-        let granted =
-            self.bus
-                .request_traced(after_icache, diag_mem::ILINE_BEATS, &self.tracer, thread);
+        let granted = self
+            .bus
+            .request_traced(after_icache, diag_mem::ILINE_BEATS, tracer, thread);
         (granted + diag_mem::ILINE_BEATS, granted - after_icache)
     }
 }
@@ -82,18 +84,19 @@ mod tests {
     #[test]
     fn iline_hit_is_fast() {
         let mut shared = SharedParts::new(&DiagConfig::f4c2(), MainMemory::new());
-        let (cold, wait) = shared.fetch_line(0x1000, 0, 0);
+        let off = Tracer::off();
+        let (cold, wait) = shared.fetch_line(0x1000, 0, 0, &off);
         assert_eq!(cold, 1 + L1I_MISS_PENALTY + 1);
         assert_eq!(wait, 0);
-        let (warm, _) = shared.fetch_line(0x1000, 100, 0);
+        let (warm, _) = shared.fetch_line(0x1000, 100, 0, &off);
         assert_eq!(warm, 102);
     }
 
     #[test]
     fn bus_shared_between_fetches() {
         let mut shared = SharedParts::new(&DiagConfig::f4c2(), MainMemory::new());
-        shared.fetch_line(0x1000, 0, 0);
-        shared.fetch_line(0x1040, 0, 1);
+        shared.fetch_line(0x1000, 0, 0, &Tracer::off());
+        shared.fetch_line(0x1040, 0, 1, &Tracer::off());
         // Two transfers, at least one contended.
         assert_eq!(shared.bus.transfers(), 2);
     }

@@ -119,7 +119,8 @@ impl RingSim {
         // Pipelined execution is now committed. The observer sees the same
         // architectural stream the sequential marker path would retire:
         // simt_s once per region entry (rc passes through unchanged) …
-        self.observer
+        self.probes
+            .observer()
             .retire(pc_s, Some((rc.into(), rc0 as u32)), None);
 
         // Spawn time: simt_s needs its operands and a loaded first stage.
@@ -147,7 +148,7 @@ impl RingSim {
         loop {
             let rc_i = rc0.wrapping_add((i as i32).wrapping_mul(step));
             let spawn = t0 + i * interval as u64;
-            self.tracer.emit(|| Event {
+            self.probes.emit(|| Event {
                 cycle: spawn,
                 thread,
                 track: Track::Control,
@@ -178,7 +179,8 @@ impl RingSim {
 
             let rc_next = rc_i.wrapping_add(step);
             // … and simt_e once per instance, writing the advanced rc.
-            self.observer
+            self.probes
+                .observer()
                 .retire(region.pc_e, Some((rc.into(), rc_next as u32)), None);
             let done = rc_next >= end;
             if done {
@@ -218,7 +220,7 @@ impl RingSim {
         self.stats
             .counters
             .add(Counter::ReuseCommits, commits.saturating_sub(first_cost));
-        self.tracer.emit(|| Event {
+        self.probes.emit(|| Event {
             cycle: end_time,
             thread,
             track: Track::Control,
@@ -229,7 +231,7 @@ impl RingSim {
             },
         });
         let line_bytes = self.config.line_bytes();
-        self.profiler.region(|| {
+        self.probes.profiler().region(|| {
             let stations = region
                 .body
                 .iter()
@@ -377,7 +379,7 @@ impl RingSim {
         let mut ready = Vec::with_capacity(region.lines.len());
         for (i, &line) in region.lines.iter().enumerate() {
             let free = self.clusters[i].last_commit;
-            let (arrived, bus_wait) = shared.fetch_line(line, now, thread);
+            let (arrived, bus_wait) = shared.fetch_line(line, now, thread, self.probes.tracer());
             self.stall(Track::Bus, StallCause::Structural, arrived, bus_wait);
             let decode_ready = arrived.max(free) + self.config.line_load_cycles + 1;
             self.clusters[i].load_line(line, decode_ready);
@@ -388,7 +390,7 @@ impl RingSim {
             self.stats
                 .counters
                 .add(Counter::BusBeats, diag_mem::ILINE_BEATS);
-            self.tracer.emit(|| Event {
+            self.probes.emit(|| Event {
                 cycle: arrived,
                 thread,
                 track: Track::Cluster(i as u32),
@@ -629,7 +631,7 @@ impl RingSim {
                 });
             }
         };
-        self.observer.retire(pc, out.1, mem_addr);
+        self.probes.observer().retire(pc, out.1, mem_addr);
         Ok(out)
     }
 
@@ -653,7 +655,7 @@ impl RingSim {
             let (issue, waited, id) = self.clusters[stage].lsu.issue_blocking_traced(
                 want,
                 true,
-                &self.tracer,
+                self.probes.tracer(),
                 thread,
                 unit,
             );
@@ -663,13 +665,17 @@ impl RingSim {
             memlane.trim();
             let out = shared
                 .l1d
-                .access_traced(addr, true, issue, &self.tracer, thread);
+                .access_traced(addr, true, issue, self.probes.tracer(), thread);
             self.count_cache(&out);
             self.clusters[stage].line_buf_fill(addr & !63);
             let ready = issue + 1;
-            self.clusters[stage]
-                .lsu
-                .complete_at_traced(ready, id, &self.tracer, thread, unit);
+            self.clusters[stage].lsu.complete_at_traced(
+                ready,
+                id,
+                self.probes.tracer(),
+                thread,
+                unit,
+            );
             ready
         } else {
             let (want, forward) = match memlane.lookup(addr, size) {
@@ -687,7 +693,7 @@ impl RingSim {
             let (issue, waited, id) = self.clusters[stage].lsu.issue_blocking_traced(
                 want,
                 false,
-                &self.tracer,
+                self.probes.tracer(),
                 thread,
                 unit,
             );
@@ -696,9 +702,10 @@ impl RingSim {
                 self.stats.counters.inc(Counter::MemlaneHits);
                 issue + 1
             } else {
-                let out = shared
-                    .l1d
-                    .access_traced(addr, false, issue, &self.tracer, thread);
+                let out =
+                    shared
+                        .l1d
+                        .access_traced(addr, false, issue, self.probes.tracer(), thread);
                 self.count_cache(&out);
                 if !out.l1_hit {
                     let hit_time = issue + self.config.l1d.hit_latency as u64;
@@ -712,9 +719,13 @@ impl RingSim {
                 self.clusters[stage].line_buf_fill(line);
                 out.ready_at
             };
-            self.clusters[stage]
-                .lsu
-                .complete_at_traced(ready, id, &self.tracer, thread, unit);
+            self.clusters[stage].lsu.complete_at_traced(
+                ready,
+                id,
+                self.probes.tracer(),
+                thread,
+                unit,
+            );
             ready
         }
     }

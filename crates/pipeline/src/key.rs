@@ -233,7 +233,6 @@ impl StableKey for DiagConfig {
             interrupt_at,
             commit_width,
             speculative_datapaths,
-            collect_trace,
         } = self;
         name.stable_hash(h);
         pes_per_cluster.stable_hash(h);
@@ -255,7 +254,10 @@ impl StableKey for DiagConfig {
         interrupt_at.stable_hash(h);
         commit_width.stable_hash(h);
         speculative_datapaths.stable_hash(h);
-        collect_trace.stable_hash(h);
+        // The removed `collect_trace` flag hashed here; a constant `false`
+        // keeps every key, and so every cached blob, valid across its
+        // removal.
+        false.stable_hash(h);
     }
 }
 

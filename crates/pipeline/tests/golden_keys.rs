@@ -218,10 +218,6 @@ fn every_diag_config_field_changes_the_run_key() {
             "speculative_datapaths",
             Box::new(|c| c.speculative_datapaths = !c.speculative_datapaths),
         ),
-        (
-            "collect_trace",
-            Box::new(|c| c.collect_trace = !c.collect_trace),
-        ),
     ];
     for (field, mutate) in mutations {
         let mut cfg = base.clone();

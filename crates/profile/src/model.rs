@@ -302,8 +302,8 @@ impl Profile {
         use std::fmt::Write;
         let mut out = String::with_capacity(4096 + self.pcs.len() * 256);
         let _ = write!(out, "{{\n  \"schema\": \"{PROFILE_SCHEMA}\",\n");
-        let _ = writeln!(out, "  \"workload\": \"{}\",", escape(&self.workload));
-        let _ = writeln!(out, "  \"machine\": \"{}\",", escape(&self.machine));
+        let _ = writeln!(out, "  \"workload\": \"{}\",", json::escape(&self.workload));
+        let _ = writeln!(out, "  \"machine\": \"{}\",", json::escape(&self.machine));
         let _ = writeln!(out, "  \"threads\": {},", self.threads);
         let _ = writeln!(out, "  \"simt\": {},", self.simt);
         let _ = writeln!(out, "  \"cycle_model\": \"{}\",", self.cycle_model.name());
@@ -336,8 +336,8 @@ impl Profile {
                 out,
                 "{}\"{}\": \"{}\"",
                 if i > 0 { ", " } else { "" },
-                escape(k),
-                escape(v)
+                json::escape(k),
+                json::escape(v)
             );
         }
         out.push_str("},\n  \"thread_spans\": [\n");
@@ -359,7 +359,7 @@ impl Profile {
                 "    {{\"pc\": {}, \"disasm\": \"{}\", \"cluster\": {}, \"slot\": {}, \
                  \"issues\": {}, \"reuse\": {}, \"self_cycles\": {}, \"cum_cycles\": {}",
                 e.pc,
-                escape(&e.disasm),
+                json::escape(&e.disasm),
                 e.cluster,
                 e.slot,
                 e.issues,
@@ -481,11 +481,6 @@ impl Profile {
     }
 }
 
-/// Escapes a string for embedding in a JSON literal.
-fn escape(s: &str) -> String {
-    s.replace('\\', "\\\\").replace('"', "\\\"")
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -548,6 +543,15 @@ mod tests {
         let back = Profile::from_json(&text).expect("round-trip");
         assert_eq!(back, p);
         back.reconcile().expect("parsed profile still reconciles");
+    }
+
+    #[test]
+    fn json_escapes_control_characters() {
+        let raw = "a\"b\\c\nd\u{1}";
+        let mut p = sample_profile();
+        p.workload = raw.to_string();
+        let doc = json::parse(&p.to_json()).expect("valid JSON");
+        assert_eq!(doc.get("workload").and_then(json::Value::as_str), Some(raw));
     }
 
     #[test]

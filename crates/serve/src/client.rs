@@ -28,9 +28,6 @@ pub struct Submit {
     /// Diag-only configuration overrides, sent as the `config` object
     /// (the grammar's `+key=value` catalogue).
     pub config: Vec<(String, String)>,
-    /// Diag-only cycle-limit override (back-compat alias for
-    /// `config.max_cycles`).
-    pub max_cycles: Option<u64>,
     /// Fairness-bucket override.
     pub client: Option<String>,
 }
@@ -46,7 +43,6 @@ impl Submit {
             threads: 1,
             simt: false,
             config: Vec::new(),
-            max_cycles: None,
             client: None,
         }
     }
@@ -57,9 +53,9 @@ impl Submit {
             "{{\"verb\":\"submit\",\"seq\":{},\"workload\":\"{}\",\"machine\":\"{}\",\
              \"scale\":\"{}\",\"threads\":{},\"simt\":{}",
             self.seq,
-            crate::protocol::esc(&self.workload),
-            crate::protocol::esc(&self.machine),
-            crate::protocol::esc(&self.scale),
+            diag_trace::json::escape(&self.workload),
+            diag_trace::json::escape(&self.machine),
+            diag_trace::json::escape(&self.scale),
             self.threads,
             self.simt,
         );
@@ -70,18 +66,18 @@ impl Submit {
                 .map(|(k, v)| {
                     format!(
                         "\"{}\":\"{}\"",
-                        crate::protocol::esc(k),
-                        crate::protocol::esc(v)
+                        diag_trace::json::escape(k),
+                        diag_trace::json::escape(v)
                     )
                 })
                 .collect();
             line.push_str(&format!(",\"config\":{{{}}}", entries.join(",")));
         }
-        if let Some(mc) = self.max_cycles {
-            line.push_str(&format!(",\"max_cycles\":{mc}"));
-        }
         if let Some(client) = &self.client {
-            line.push_str(&format!(",\"client\":\"{}\"", crate::protocol::esc(client)));
+            line.push_str(&format!(
+                ",\"client\":\"{}\"",
+                diag_trace::json::escape(client)
+            ));
         }
         line.push('}');
         line
@@ -326,7 +322,7 @@ mod tests {
     #[test]
     fn submit_lines_parse_as_requests() {
         let mut s = Submit::new(9, "hotspot", "diag");
-        s.max_cycles = Some(50);
+        s.config.push(("max_cycles".to_string(), "50".to_string()));
         s.client = Some("alice".to_string());
         let parsed = crate::protocol::parse_request(&s.to_line()).expect("valid");
         let crate::protocol::Request::Submit(req) = parsed else {
@@ -334,7 +330,10 @@ mod tests {
         };
         assert_eq!(req.seq, 9);
         assert_eq!(req.workload, "hotspot");
-        assert_eq!(req.max_cycles, Some(50));
+        assert_eq!(
+            req.config,
+            vec![("max_cycles".to_string(), "50".to_string())]
+        );
         assert_eq!(req.client.as_deref(), Some("alice"));
     }
 

@@ -30,10 +30,10 @@
 //! machine spec — the same key catalogue as the grammar's `+key=value`
 //! form (`{"config":{"clusters":16,"lsu_depth":8}}`); a malformed key,
 //! value, or resulting configuration is rejected with a `400` frame,
-//! never a dropped connection. `max_cycles` (diag only) is a
-//! back-compat alias for `config.max_cycles` — an explicit `config`
-//! entry wins over the alias. Overriding the cycle limit remains the
-//! supported way to provoke a `sim`-kind error frame on demand.
+//! never a dropped connection. The cycle limit is `config.max_cycles`; a
+//! top-level `max_cycles` field is a `400` error naming it. Overriding
+//! the cycle limit remains the supported way to provoke a `sim`-kind
+//! error frame on demand.
 //!
 //! # Response frames
 //!
@@ -104,9 +104,6 @@ pub struct SubmitRequest {
     /// or strings and funnel through `diag_core::apply_override` —
     /// exactly the grammar's `+key=value` catalogue.
     pub config: Vec<(String, String)>,
-    /// Back-compat alias for `config.max_cycles` (an explicit `config`
-    /// entry wins).
-    pub max_cycles: Option<u64>,
 }
 
 /// A parsed request line.
@@ -189,6 +186,12 @@ pub fn parse_request(line: &str) -> Result<Request, String> {
                 }
                 Some(_) => return Err("`config` must be an object".to_string()),
             };
+            if doc.get("max_cycles").is_some() {
+                return Err(
+                    "top-level `max_cycles` is not a submit field: send `config.max_cycles`"
+                        .to_string(),
+                );
+            }
             Ok(Request::Submit(SubmitRequest {
                 seq,
                 client: doc
@@ -205,7 +208,6 @@ pub fn parse_request(line: &str) -> Result<Request, String> {
                 threads: req_u64(&doc, "threads").unwrap_or(1).max(1) as usize,
                 simt: req_bool(&doc, "simt").unwrap_or(false),
                 config,
-                max_cycles: req_u64(&doc, "max_cycles"),
             }))
         }
         "status" => Ok(Request::Status),
@@ -216,23 +218,6 @@ pub fn parse_request(line: &str) -> Result<Request, String> {
         "shutdown" => Ok(Request::Shutdown),
         other => Err(format!("unknown verb `{other}`")),
     }
-}
-
-/// Escapes a string for embedding in a JSON frame.
-pub fn esc(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '\\' => out.push_str("\\\\"),
-            '"' => out.push_str("\\\""),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out
 }
 
 /// The once-per-connection greeting frame.
@@ -284,9 +269,9 @@ pub fn result_frame(
          \"stalls\":{{\"memory\":{},\"control\":{},\"structural\":{}}}}},\
          \"cache\":{},\
          \"host_ns\":{host_ns}}}",
-        esc(workload),
-        esc(machine),
-        esc(spec),
+        json::escape(workload),
+        json::escape(machine),
+        json::escape(spec),
         stats.cycles,
         stats.committed,
         stats.threads,
@@ -324,11 +309,11 @@ pub fn error_frame(
          \"error\":{{\"kind\":\"{}\",\"message\":\"{}\"}},\
          \"cache\":{},\
          \"host_ns\":{host_ns}}}",
-        esc(workload),
-        esc(machine),
-        esc(spec),
+        json::escape(workload),
+        json::escape(machine),
+        json::escape(spec),
         error_kind(err),
-        esc(&err.to_string()),
+        json::escape(&err.to_string()),
         cache.render(),
     )
 }
@@ -339,11 +324,11 @@ pub fn reject_frame(seq: Option<u64>, code: u16, message: &str) -> String {
     match seq {
         Some(seq) => format!(
             "{{\"frame\":\"reject\",\"seq\":{seq},\"code\":{code},\"message\":\"{}\"}}",
-            esc(message)
+            json::escape(message)
         ),
         None => format!(
             "{{\"frame\":\"reject\",\"code\":{code},\"message\":\"{}\"}}",
-            esc(message)
+            json::escape(message)
         ),
     }
 }
@@ -353,7 +338,7 @@ pub fn protocol_error_frame(message: &str) -> String {
     format!(
         "{{\"frame\":\"error\",\"code\":{},\"message\":\"{}\"}}",
         code::BAD_REQUEST,
-        esc(message)
+        json::escape(message)
     )
 }
 
@@ -374,7 +359,7 @@ pub fn shutdown_frame(queued: usize) -> String {
 pub fn metrics_frame(text: &str, json: &str) -> String {
     format!(
         "{{\"frame\":\"metrics\",\"proto\":\"{PROTO}\",\"text\":\"{}\",\"json\":{json}}}",
-        esc(text)
+        json::escape(text)
     )
 }
 
@@ -461,7 +446,6 @@ mod tests {
         assert_eq!(s.threads, 1);
         assert!(!s.simt);
         assert!(s.config.is_empty());
-        assert_eq!(s.max_cycles, None);
         assert_eq!(s.client, None);
     }
 
@@ -508,7 +492,7 @@ mod tests {
         let line = concat!(
             r#"{"verb":"submit","seq":1,"client":"alice","workload":"bfs","#,
             r#""machine":"ooo","scale":"small","threads":4,"simt":true,"#,
-            r#""max_cycles":10}"#,
+            r#""config":{"max_cycles":10}}"#,
         );
         let req = parse_request(line).unwrap();
         let Request::Submit(s) = req else {
@@ -519,7 +503,14 @@ mod tests {
         assert_eq!(s.scale, Scale::Small);
         assert_eq!(s.threads, 4);
         assert!(s.simt);
-        assert_eq!(s.max_cycles, Some(10));
+        assert_eq!(s.config, vec![("max_cycles".to_string(), "10".to_string())]);
+    }
+
+    #[test]
+    fn top_level_max_cycles_is_rejected() {
+        let err = parse_request(r#"{"verb":"submit","seq":1,"workload":"bfs","max_cycles":10}"#)
+            .unwrap_err();
+        assert!(err.contains("`config.max_cycles`"), "{err}");
     }
 
     #[test]

@@ -490,18 +490,13 @@ fn plan_submit(req: &SubmitRequest) -> Result<(SweepRun, String, String), (u16, 
     };
     let mut machine = MachineSpec::parse(&req.machine)
         .map_err(|e| (code::BAD_REQUEST, format!("machine `{}`: {e}", req.machine)))?;
-    if !req.config.is_empty() || req.max_cycles.is_some() {
+    if !req.config.is_empty() {
         let MachineSpec::Diag(cfg) = &mut machine else {
             return Err((
                 code::BAD_REQUEST,
                 "config overrides only apply to machine `diag`".to_string(),
             ));
         };
-        // The alias first, then the config object: an explicit
-        // `config.max_cycles` wins over the legacy top-level field.
-        if let Some(max_cycles) = req.max_cycles {
-            cfg.max_cycles = max_cycles;
-        }
         for (key, value) in &req.config {
             apply_override(cfg, key, value)
                 .map_err(|e| (code::BAD_REQUEST, format!("config: {e}")))?;

@@ -107,10 +107,12 @@ fn config_overrides_reshape_the_run_and_malformed_ones_reject() {
     assert_eq!(frame.ok(), Some(true), "{}", frame.raw);
     assert_eq!(frame.spec(), Some("diag:f4c2+lsu_depth=4"), "{}", frame.raw);
 
-    // The legacy `max_cycles` field is an alias for the config entry:
-    // the run fails with the sim taxonomy and the spec shows the fold.
+    // A cycle-limit override: the run fails with the sim taxonomy and
+    // the spec shows the fold.
     let mut limited = Submit::new(2, "hotspot", "diag");
-    limited.max_cycles = Some(10);
+    limited
+        .config
+        .push(("max_cycles".to_string(), "10".to_string()));
     client.submit(&limited).expect("submit");
     let frame = client.recv().expect("read").expect("result");
     assert_eq!(frame.ok(), Some(false), "{}", frame.raw);
@@ -121,6 +123,16 @@ fn config_overrides_reshape_the_run_and_malformed_ones_reject() {
         "{}",
         frame.raw
     );
+
+    // The removed top-level `max_cycles` field is a typed 400 naming its
+    // replacement, not a silent run at the default limit.
+    client
+        .send_line(r#"{"verb":"submit","seq":6,"workload":"hotspot","max_cycles":10}"#)
+        .expect("send");
+    let frame = client.recv().expect("read").expect("error frame");
+    assert_eq!(frame.kind(), "error", "{}", frame.raw);
+    assert_eq!(frame.code(), Some(400), "{}", frame.raw);
+    assert!(frame.raw.contains("`config.max_cycles`"), "{}", frame.raw);
 
     // Malformed overrides are typed 400 rejects, never panics: an
     // unknown key, an unparsable value, and overrides on a machine

@@ -44,7 +44,9 @@ fn transcript() -> String {
     step("{\"verb\":\"dance\"}", &mut frames);
     // A failing run: the sim-error taxonomy over the wire.
     let mut limited = Submit::new(7, "hotspot", "diag");
-    limited.max_cycles = Some(10);
+    limited
+        .config
+        .push(("max_cycles".to_string(), "10".to_string()));
     step(&limited.to_line(), &mut frames);
     // Cancelling an unknown seq answers immediately with ok:false.
     step("{\"verb\":\"cancel\",\"seq\":99}", &mut frames);

@@ -123,7 +123,9 @@ fn failed_runs_carry_the_direct_error_taxonomy_and_message() {
     // A cycle limit far below hotspot's runtime: the run fails with a
     // Sim error, exactly as the sweep path reports it.
     let mut submit = Submit::new(1, "hotspot", "diag");
-    submit.max_cycles = Some(10);
+    submit
+        .config
+        .push(("max_cycles".to_string(), "10".to_string()));
     client.submit(&submit).expect("submit");
     let frame = client.recv().expect("read").expect("result");
     assert_eq!(frame.kind(), "result", "{}", frame.raw);

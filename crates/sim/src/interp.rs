@@ -82,6 +82,16 @@ pub enum MemEffect {
     },
 }
 
+impl MemEffect {
+    /// The accessed address, if any.
+    pub fn addr(self) -> Option<u32> {
+        match self {
+            MemEffect::Load { addr, .. } | MemEffect::Store { addr, .. } => Some(addr),
+            MemEffect::None => None,
+        }
+    }
+}
+
 /// Everything a timing model needs to know about one executed instruction.
 #[derive(Debug, Clone)]
 pub struct StepInfo {

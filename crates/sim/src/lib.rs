@@ -15,11 +15,13 @@ pub mod interp;
 pub mod lockstep;
 mod machine;
 pub mod observe;
+mod probes;
 mod stats;
 
 pub use lockstep::{run_lockstep, run_lockstep_prepared, Divergence, LockstepOutcome};
 pub use machine::{machine_steps, Commit, Machine, SimError, StepOutcome};
 pub use observe::{ObservationLog, ObservedRange, Observer, PcObserved, SharedObservations};
+pub use probes::{Probes, Retirement};
 pub use stats::{Activity, RunStats, StallBreakdown, StallCause};
 // Convenience re-exports so machine implementors and harnesses don't need
 // a direct `diag-trace` dependency for the common plumbing types.

@@ -93,8 +93,9 @@ impl<'m> Side<'m> {
         stations: &Arc<StationTable>,
         threads: usize,
     ) -> Side<'m> {
-        machine.load_prepared(program, stations, threads);
+        // Probes take effect at load, so the log goes on first.
         machine.set_commit_log(true);
+        machine.load_prepared(program, stations, threads);
         Side {
             machine,
             pending: vec![VecDeque::new(); threads],

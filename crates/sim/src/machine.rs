@@ -17,6 +17,8 @@ use diag_isa::{ArchReg, StationTable};
 use diag_profile::Profiler;
 use diag_trace::Tracer;
 
+use crate::observe::Observer;
+use crate::probes::Probes;
 use crate::stats::RunStats;
 
 /// Errors a simulation run can produce.
@@ -193,48 +195,57 @@ pub trait Machine {
     /// before that they cover the work retired so far.
     fn stats(&self) -> RunStats;
 
+    /// The machine's [`Probes`], which the hook methods below install
+    /// into. Instrumented machines return their one `probes` value; the
+    /// default `None` makes every hook a no-op.
+    fn probes_mut(&mut self) -> Option<&mut Probes> {
+        None
+    }
+
     /// Installs a [`Tracer`] delivering this machine's cycle-level trace
-    /// events (`diag-trace` vocabulary) to a sink. The tracer takes
-    /// effect from the next [`Machine::load`]; installing
+    /// events (`diag-trace` vocabulary) to a sink. Like every probe, it
+    /// takes effect from the next [`Machine::load`]; installing
     /// [`Tracer::off`] (the default) makes every emission site a
     /// non-evaluating branch.
-    ///
-    /// Machines that are not instrumented ignore this and emit nothing.
-    fn set_tracer(&mut self, _tracer: Tracer) {}
+    fn set_tracer(&mut self, tracer: Tracer) {
+        if let Some(probes) = self.probes_mut() {
+            probes.set_tracer(tracer);
+        }
+    }
 
     /// Installs a [`Profiler`] collecting this machine's per-PC
-    /// cycle-accounting samples (`diag-profile` vocabulary). Like
-    /// [`Machine::set_tracer`], it takes effect from the next
-    /// [`Machine::load`]; installing [`Profiler::off`] (the default)
-    /// makes every sample site a non-evaluating branch.
-    ///
-    /// Machines that are not instrumented ignore this and record
-    /// nothing.
-    fn set_profiler(&mut self, _profiler: Profiler) {}
+    /// cycle-accounting samples (`diag-profile` vocabulary), from the
+    /// next [`Machine::load`].
+    fn set_profiler(&mut self, profiler: Profiler) {
+        if let Some(probes) = self.probes_mut() {
+            probes.set_profiler(profiler);
+        }
+    }
 
-    /// Installs an [`Observer`](crate::Observer) recording this machine's
-    /// per-PC value/address ranges for the static verifier's soundness
-    /// check (`diag-verify` vocabulary). Like [`Machine::set_profiler`],
-    /// it takes effect from the next [`Machine::load`]; installing
-    /// [`Observer::off`](crate::Observer::off) (the default) makes every
-    /// recording site a non-evaluating branch.
-    ///
-    /// Machines that are not instrumented ignore this and record
-    /// nothing.
-    fn set_observer(&mut self, _observer: crate::Observer) {}
+    /// Installs an [`Observer`] recording this machine's per-PC
+    /// value/address ranges for the static verifier's soundness check
+    /// (`diag-verify` vocabulary), from the next [`Machine::load`].
+    fn set_observer(&mut self, observer: Observer) {
+        if let Some(probes) = self.probes_mut() {
+            probes.set_observer(observer);
+        }
+    }
 
-    /// Enables or disables commit logging (disabled by default; logging
-    /// every retirement costs memory proportional to the dynamic
-    /// instruction count, so leave it off for performance runs).
-    ///
-    /// Machines that do not support commit logging ignore this; their
-    /// [`Machine::take_commits`] stays empty.
-    fn set_commit_log(&mut self, _enabled: bool) {}
+    /// Enables or disables commit logging from the next
+    /// [`Machine::load`] (disabled by default; logging every retirement
+    /// costs memory proportional to the dynamic instruction count, so
+    /// leave it off for performance runs).
+    fn set_commit_log(&mut self, enabled: bool) {
+        if let Some(probes) = self.probes_mut() {
+            probes.set_commit_log(enabled);
+        }
+    }
 
     /// Drains the retirements logged since the last call (in per-thread
     /// program order).
     fn take_commits(&mut self) -> Vec<Commit> {
-        Vec::new()
+        self.probes_mut()
+            .map_or_else(Vec::new, |p| p.take_commits())
     }
 
     /// Runs `program` with `threads` hardware threads to completion.
@@ -248,17 +259,7 @@ pub trait Machine {
     /// See [`SimError`] for the failure modes.
     fn run(&mut self, program: &Program, threads: usize) -> Result<RunStats, SimError> {
         self.load(program, threads);
-        let mut steps = 0u64;
-        let result = loop {
-            steps += 1;
-            match self.step() {
-                Ok(outcome) if outcome.is_halted() => break Ok(self.stats()),
-                Ok(_) => {}
-                Err(e) => break Err(e),
-            }
-        };
-        MACHINE_STEPS.fetch_add(steps, Ordering::Relaxed);
-        result
+        run_to_halt(self)
     }
 
     /// [`Machine::run`], but mounting prepared artifacts via
@@ -275,17 +276,7 @@ pub trait Machine {
         threads: usize,
     ) -> Result<RunStats, SimError> {
         self.load_prepared(program, stations, threads);
-        let mut steps = 0u64;
-        let result = loop {
-            steps += 1;
-            match self.step() {
-                Ok(outcome) if outcome.is_halted() => break Ok(self.stats()),
-                Ok(_) => {}
-                Err(e) => break Err(e),
-            }
-        };
-        MACHINE_STEPS.fetch_add(steps, Ordering::Relaxed);
-        result
+        run_to_halt(self)
     }
 
     /// Reads a 32-bit word from the machine's memory after a run, for
@@ -296,11 +287,22 @@ pub trait Machine {
     fn read_f32(&self, addr: u32) -> f32 {
         f32::from_bits(self.read_word(addr))
     }
+}
 
-    /// The machine as [`std::any::Any`], for tools that need
-    /// machine-specific features behind `dyn Machine` (e.g. DiAG's
-    /// execution trace).
-    fn as_any(&self) -> &dyn std::any::Any;
+/// Steps a loaded machine until it halts; the loop behind
+/// [`Machine::run`] and [`Machine::run_prepared`].
+fn run_to_halt<M: Machine + ?Sized>(machine: &mut M) -> Result<RunStats, SimError> {
+    let mut steps = 0u64;
+    let result = loop {
+        steps += 1;
+        match machine.step() {
+            Ok(outcome) if outcome.is_halted() => break Ok(machine.stats()),
+            Ok(_) => {}
+            Err(e) => break Err(e),
+        }
+    };
+    MACHINE_STEPS.fetch_add(steps, Ordering::Relaxed);
+    result
 }
 
 #[cfg(test)]

@@ -19,28 +19,10 @@
 
 use std::fmt::Write as _;
 
+use diag_trace::json::escape;
+
 use crate::registry::Snapshot;
 use crate::SCHEMA;
-
-/// Escape a string for embedding in a double-quoted JSON or label
-/// value position.
-pub fn escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
-        }
-    }
-    out
-}
 
 impl Snapshot {
     /// Render the Prometheus-style text exposition.

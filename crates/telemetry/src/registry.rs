@@ -67,7 +67,7 @@ impl MetricKey {
             first = false;
             out.push_str(k);
             out.push_str("=\"");
-            out.push_str(&crate::expose::escape(v));
+            out.push_str(&diag_trace::json::escape(v));
             out.push('"');
         }
         if let Some((k, v)) = extra {
@@ -76,7 +76,7 @@ impl MetricKey {
             }
             out.push_str(k);
             out.push_str("=\"");
-            out.push_str(&crate::expose::escape(v));
+            out.push_str(&diag_trace::json::escape(v));
             out.push('"');
         }
         out.push('}');

@@ -1,4 +1,5 @@
-//! A minimal dependency-free JSON parser.
+//! A minimal dependency-free JSON parser, and the string escaper every
+//! JSON writer in the workspace shares.
 //!
 //! The workspace bans external crates, but the CI trace smoke job must
 //! *validate* the Chrome/Perfetto export it just produced. This module is
@@ -9,7 +10,7 @@
 //! bounded to keep malformed input from recursing unboundedly.
 
 use std::collections::BTreeMap;
-use std::fmt;
+use std::fmt::{self, Write as _};
 
 /// Maximum nesting depth accepted (far beyond any trace we emit).
 const MAX_DEPTH: usize = 64;
@@ -91,6 +92,27 @@ impl fmt::Display for ParseError {
 }
 
 impl std::error::Error for ParseError {}
+
+/// Escapes `s` for a JSON string literal: `"` and `\`, the `\n`,
+/// `\r` and `\t` shorthands, and every other control character as
+/// `\u00XX`. [`parse`] decodes the result back to `s`.
+pub fn escape(s: &str) -> String {
+    let mut out = String::with_capacity(s.len());
+    for c in s.chars() {
+        match c {
+            '"' => out.push_str("\\\""),
+            '\\' => out.push_str("\\\\"),
+            '\n' => out.push_str("\\n"),
+            '\r' => out.push_str("\\r"),
+            '\t' => out.push_str("\\t"),
+            c if (c as u32) < 0x20 => {
+                let _ = write!(out, "\\u{:04x}", c as u32);
+            }
+            c => out.push(c),
+        }
+    }
+    out
+}
 
 /// Parses `input` as a single JSON document (trailing whitespace allowed).
 pub fn parse(input: &str) -> Result<Value, ParseError> {
@@ -335,6 +357,15 @@ impl<'a> Parser<'a> {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn escape_handles_specials_and_round_trips() {
+        let raw = "a\"b\\c\nd\u{1}\r\t\u{1f}é";
+        let escaped = escape(raw);
+        assert_eq!(escaped, "a\\\"b\\\\c\\nd\\u0001\\r\\t\\u001fé");
+        let doc = parse(&format!("\"{escaped}\"")).unwrap();
+        assert_eq!(doc.as_str(), Some(raw));
+    }
 
     #[test]
     fn parses_scalars() {

@@ -22,23 +22,6 @@ use std::fmt::Write;
 use crate::event::{Event, EventKind, Track};
 use crate::json::{self, Value};
 
-/// Escapes `s` for inclusion in a JSON string literal.
-fn escape(s: &str, out: &mut String) {
-    for ch in s.chars() {
-        match ch {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
-        }
-    }
-}
-
 /// Stable track identity within the export: process = hardware thread,
 /// thread row = component track.
 fn track_ids(events: &[Event]) -> BTreeMap<(u32, Track), u64> {
@@ -75,7 +58,7 @@ impl Emitter {
         }
         self.first = false;
         self.out.push_str("{\"name\":\"");
-        escape(name, &mut self.out);
+        self.out.push_str(&json::escape(name));
         let _ = write!(
             self.out,
             "\",\"ph\":\"{ph}\",\"ts\":{ts},\"pid\":{pid},\"tid\":{tid}"
@@ -108,7 +91,7 @@ pub fn export(events: &[Event]) -> String {
         }
         em.open("thread_name", 'M', 0, thread, tid);
         em.out.push_str(",\"args\":{\"name\":\"");
-        escape(&track.to_string(), &mut em.out);
+        em.out.push_str(&json::escape(&track.to_string()));
         em.out.push_str("\"}}");
         // `close` would double the brace; we closed args + object above.
         em.first = false;
@@ -352,12 +335,5 @@ mod tests {
             "{\"traceEvents\":[{\"name\":\"a\",\"ph\":\"X\",\"ts\":0,\"pid\":0,\"tid\":0}]}"
         )
         .is_err()); // X without dur
-    }
-
-    #[test]
-    fn escape_handles_specials() {
-        let mut s = String::new();
-        escape("a\"b\\c\nd\u{1}", &mut s);
-        assert_eq!(s, "a\\\"b\\\\c\\nd\\u0001");
     }
 }

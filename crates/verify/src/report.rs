@@ -9,26 +9,9 @@
 
 use std::fmt::Write as _;
 
-use crate::{Fact, Itv, Verdict, Verification};
+use diag_trace::json::escape;
 
-/// Escapes `s` for inclusion in a JSON string literal.
-fn json_escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\t' => out.push_str("\\t"),
-            '\r' => out.push_str("\\r"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
-        }
-    }
-    out
-}
+use crate::{Fact, Itv, Verdict, Verification};
 
 /// Formats a witness interval compactly: a singleton prints as one
 /// value, a range as `[lo, hi]`, with a `/2^tz` alignment suffix when
@@ -114,7 +97,7 @@ fn json_fact(out: &mut String, f: &Fact) {
         }
         None => out.push_str("\"witness\":null,"),
     }
-    let _ = write!(out, "\"detail\":\"{}\"}}", json_escape(&f.detail));
+    let _ = write!(out, "\"detail\":\"{}\"}}", escape(&f.detail));
 }
 
 /// Renders the verification as a single-line JSON object (facts, loops,
@@ -127,7 +110,7 @@ pub fn json_report(name: &str, v: &Verification) -> String {
         "\"name\":\"{}\",\"threads\":{},\"imprecise_indirect\":{},\"iterations\":{},\
          \"widenings\":{},\"stations\":{},\"summary\":{{\"proved\":{proved},\
          \"refuted\":{refuted},\"unknown\":{unknown}}},",
-        json_escape(name),
+        escape(name),
         v.threads,
         v.imprecise_indirect,
         v.iterations,

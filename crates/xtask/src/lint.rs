@@ -15,15 +15,16 @@
 //! tracer, profiler, or metrics hook destroys the run it was observing.
 //! The memory system (`crates/mem`) sits on every simulated load and
 //! store of all three machines — a panic there aborts the run instead
-//! of reporting it.
+//! of reporting it. The baselines (`crates/baseline`) are machines like
+//! DiAG, held to the same rule.
 //! Clippy's `unwrap_used` lint cannot be adopted piecemeal without
 //! attribute noise at every test module, so this is a small,
 //! dependency-free scanner with the policy hard-coded:
 //!
 //! - only `crates/core/src`, `crates/sim/src`, `crates/mem/src`,
 //!   `crates/pipeline/src`, `crates/serve/src`, `crates/bench/src`,
-//!   `crates/power/src`, `crates/trace/src`, `crates/profile/src`, and
-//!   `crates/telemetry/src` are in scope;
+//!   `crates/power/src`, `crates/trace/src`, `crates/profile/src`,
+//!   `crates/telemetry/src`, and `crates/baseline/src` are in scope;
 //! - `#[cfg(test)]` items (and everything nested inside them) are
 //!   exempt;
 //! - a deliberate use is allowed by writing `// lint: allow(unwrap)` on
@@ -45,6 +46,7 @@ const SCOPE: &[&str] = &[
     "crates/trace/src",
     "crates/profile/src",
     "crates/telemetry/src",
+    "crates/baseline/src",
 ];
 
 /// The escape-hatch marker.

@@ -126,10 +126,6 @@ impl Machine for PoisonedInterp {
             .as_ref()
             .map_or(0, |(_, _, mem)| mem.read_u32(addr))
     }
-
-    fn as_any(&self) -> &dyn std::any::Any {
-        self
-    }
 }
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {

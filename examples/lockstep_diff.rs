@@ -16,19 +16,20 @@ use diag::baseline::InOrder;
 use diag::core::{Diag, DiagConfig};
 use diag::pipeline::Session;
 use diag::sim::{
-    run_lockstep_prepared, Commit, LockstepOutcome, Machine, RunStats, SimError, StepOutcome,
+    run_lockstep_prepared, Commit, LockstepOutcome, Machine, Probes, RunStats, SimError,
+    StepOutcome,
 };
 use diag::workloads::{find, Params, Scale};
 
 /// Wraps a machine and corrupts the value of one register-writing
 /// retirement — a synthetic one-instruction simulator bug.
-struct Corrupt<M: Machine + 'static> {
+struct Corrupt<M: Machine> {
     inner: M,
     at: u64,
     writes: u64,
 }
 
-impl<M: Machine + 'static> Machine for Corrupt<M> {
+impl<M: Machine> Machine for Corrupt<M> {
     fn name(&self) -> String {
         format!("{} (corrupted)", self.inner.name())
     }
@@ -42,8 +43,8 @@ impl<M: Machine + 'static> Machine for Corrupt<M> {
     fn stats(&self) -> RunStats {
         self.inner.stats()
     }
-    fn set_commit_log(&mut self, enabled: bool) {
-        self.inner.set_commit_log(enabled);
+    fn probes_mut(&mut self) -> Option<&mut Probes> {
+        self.inner.probes_mut()
     }
     fn take_commits(&mut self) -> Vec<Commit> {
         let mut commits = self.inner.take_commits();
@@ -59,9 +60,6 @@ impl<M: Machine + 'static> Machine for Corrupt<M> {
     }
     fn read_word(&self, addr: u32) -> u32 {
         self.inner.read_word(addr)
-    }
-    fn as_any(&self) -> &dyn std::any::Any {
-        &self.inner as &dyn std::any::Any
     }
 }
 

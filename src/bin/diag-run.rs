@@ -8,9 +8,8 @@
 //!
 //! `--machine` takes a spec in the canonical grammar shared with the
 //! harness and the server — `diag[:preset][+key=value,...]`,
-//! `ooo[:cores]`, or `inorder` (presets `i4c2`/`f4c2`/`f4c16`/`f4c32`;
-//! the legacy hyphenated names like `diag-f4c32` still work). So
-//! `diag:f4c2+lsu_depth=4` runs a two-cluster DiAG with a shallower
+//! `ooo[:cores]`, or `inorder` (presets `i4c2`/`f4c2`/`f4c16`/`f4c32`).
+//! So `diag:f4c2+lsu_depth=4` runs a two-cluster DiAG with a shallower
 //! load-store unit.
 //!
 //! The program halts when every hardware thread executes `ecall`. Run
@@ -20,7 +19,8 @@
 
 use diag::asm::assemble;
 use diag::bench::runner::{build_machine, MachineSpec};
-use diag::core::Diag;
+use diag::sim::Tracer;
+use diag::trace::{Event, EventKind, Track, VecSink};
 
 struct Options {
     path: String,
@@ -113,15 +113,7 @@ fn main() {
         }
     };
 
-    // The pre-grammar machine names survive as aliases of the presets.
-    let text = match opts.machine.as_str() {
-        "diag-f4c32" => "diag:f4c32",
-        "diag-f4c16" => "diag:f4c16",
-        "diag-f4c2" => "diag:f4c2",
-        "diag-i4c2" => "diag:i4c2",
-        other => other,
-    };
-    let mut spec = match MachineSpec::parse(text) {
+    let mut spec = match MachineSpec::parse(&opts.machine) {
         Ok(spec) => spec,
         Err(e) => {
             eprintln!("error: --machine {}: {e}", opts.machine);
@@ -131,9 +123,16 @@ fn main() {
     if let MachineSpec::Diag(cfg) = &mut spec {
         cfg.enable_simt = opts.simt;
         cfg.enable_reuse = opts.reuse;
-        cfg.collect_trace = opts.trace;
     }
+    let pes_per_cluster = match &spec {
+        MachineSpec::Diag(cfg) => cfg.pes_per_cluster as u32,
+        _ => 0,
+    };
     let mut machine = build_machine(&spec);
+    let sink = VecSink::shared();
+    if opts.trace {
+        machine.set_tracer(Tracer::to_shared(sink.clone()));
+    }
 
     let stats = match machine.run(&program, opts.threads) {
         Ok(s) => s,
@@ -161,24 +160,7 @@ fn main() {
     println!("stalls:   memory {m:.0}%, control {c:.0}%, structural {o:.0}%");
 
     if opts.trace {
-        if let Some(diag) = machine.as_any().downcast_ref::<Diag>() {
-            println!(
-                "\nfirst retired instructions (pc / slot / start / finish / commit / reused):"
-            );
-            for e in diag.last_trace().iter().take(32) {
-                println!(
-                    "  {:#07x}  slot {:>3}  {:>6} {:>6} {:>6}  {}",
-                    e.pc,
-                    e.slot,
-                    e.start,
-                    e.finish,
-                    e.commit,
-                    if e.reused { "reuse" } else { "decode" }
-                );
-            }
-        } else {
-            eprintln!("note: --trace is only available on DiAG machines");
-        }
+        print_retirements(sink.borrow().events(), pes_per_cluster);
     }
 
     if let Some((addr, len)) = opts.dump {
@@ -187,5 +169,39 @@ fn main() {
             let a = addr + 4 * i;
             println!("  {a:#010x}: {:#010x}", machine.read_word(a));
         }
+    }
+}
+
+/// Prints the first 32 retirements of a traced run, thread by thread:
+/// each `PeRetire` event with the reuse flag of its `PeIssue`. DiAG PEs
+/// print their global slot; cores emit no issue event and decode every
+/// instruction.
+fn print_retirements(events: &[Event], pes_per_cluster: u32) {
+    println!("\nfirst retired instructions (pc / slot / start / finish / commit / reused):");
+    let mut issued = None;
+    let mut rows = Vec::new();
+    for e in events {
+        match e.kind {
+            EventKind::PeIssue { pc, reused } => issued = Some((e.thread, pc, reused)),
+            EventKind::PeRetire { pc, start, finish } => {
+                let reused = matches!(issued, Some((t, p, true)) if (t, p) == (e.thread, pc));
+                let place = match e.track {
+                    Track::Pe { cluster, slot } => {
+                        format!("slot {:>3}", cluster * pes_per_cluster + slot)
+                    }
+                    _ => format!("core {:>3}", e.thread),
+                };
+                rows.push((e.thread, pc, place, start, finish, e.cycle, reused));
+            }
+            _ => {}
+        }
+    }
+    // Stable: each thread's rows stay in retirement order.
+    rows.sort_by_key(|r| r.0);
+    for (_, pc, place, start, finish, commit, reused) in rows.into_iter().take(32) {
+        println!(
+            "  {pc:#07x}  {place}  {start:>6} {finish:>6} {commit:>6}  {}",
+            if reused { "reuse" } else { "decode" }
+        );
     }
 }

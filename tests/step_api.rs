@@ -8,7 +8,9 @@ use diag::baseline::{InOrder, O3Config, OooCpu};
 use diag::bench::runner::MachineSpec;
 use diag::bench::sweep::Sweep;
 use diag::core::{Diag, DiagConfig};
-use diag::sim::{run_lockstep, Commit, LockstepOutcome, Machine, RunStats, SimError, StepOutcome};
+use diag::sim::{
+    run_lockstep, Commit, LockstepOutcome, Machine, Probes, RunStats, SimError, StepOutcome,
+};
 use diag::workloads::{find, Params};
 
 fn machines() -> Vec<Box<dyn Machine>> {
@@ -139,8 +141,8 @@ impl Machine for CorruptedMachine {
         self.inner.stats()
     }
 
-    fn set_commit_log(&mut self, enabled: bool) {
-        self.inner.set_commit_log(enabled);
+    fn probes_mut(&mut self) -> Option<&mut Probes> {
+        self.inner.probes_mut()
     }
 
     fn take_commits(&mut self) -> Vec<Commit> {
@@ -158,10 +160,6 @@ impl Machine for CorruptedMachine {
 
     fn read_word(&self, addr: u32) -> u32 {
         self.inner.read_word(addr)
-    }
-
-    fn as_any(&self) -> &dyn std::any::Any {
-        self
     }
 }
 

@@ -1,11 +1,43 @@
-//! Tests for the execution-trace facility, the speculative-datapath
+//! Tests for the retirement trace, the speculative-datapath
 //! extension (paper §7.3.2 future work), SIMT initiation intervals, and
 //! the I4C2 FPGA proof-of-concept configuration (paper §6.2).
 
 use diag::asm::{assemble, ProgramBuilder};
+use diag::baseline::{InOrder, OooCpu};
 use diag::core::{Diag, DiagConfig};
 use diag::isa::regs::*;
-use diag::sim::Machine;
+use diag::sim::{Machine, Tracer};
+use diag::trace::{Event, EventKind, VecSink};
+
+/// One retirement as the tracer reports it: the `PeRetire` event joined
+/// with the reuse flag of its `PeIssue`.
+#[derive(Debug)]
+struct Retired {
+    pc: u32,
+    start: u64,
+    finish: u64,
+    commit: u64,
+    reused: bool,
+}
+
+fn retirements(events: &[Event]) -> Vec<Retired> {
+    let mut reused = false;
+    let mut out = Vec::new();
+    for e in events {
+        match e.kind {
+            EventKind::PeIssue { reused: r, .. } => reused = r,
+            EventKind::PeRetire { pc, start, finish } => out.push(Retired {
+                pc,
+                start,
+                finish,
+                commit: e.cycle,
+                reused,
+            }),
+            _ => {}
+        }
+    }
+    out
+}
 
 #[test]
 fn trace_records_every_committed_instruction() {
@@ -19,15 +51,15 @@ fn trace_records_every_committed_instruction() {
         "#,
     )
     .unwrap();
-    let mut cfg = DiagConfig::f4c2();
-    cfg.collect_trace = true;
-    let mut cpu = Diag::new(cfg);
+    let mut cpu = Diag::new(DiagConfig::f4c2());
+    let sink = VecSink::shared();
+    cpu.set_tracer(Tracer::to_shared(sink.clone()));
     let stats = cpu.run(&program, 1).unwrap();
-    let trace = cpu.last_trace();
+    let trace = retirements(sink.borrow().events());
     assert_eq!(trace.len() as u64, stats.committed);
     // Commit order is monotone, and finish ≤ commit for every event.
     let mut last_commit = 0;
-    for e in trace {
+    for e in &trace {
         assert!(e.start <= e.finish, "{e:?}");
         assert!(e.finish <= e.commit, "{e:?}");
         assert!(e.commit >= last_commit, "commit order violated: {e:?}");
@@ -48,9 +80,23 @@ fn trace_records_every_committed_instruction() {
 #[test]
 fn trace_is_empty_unless_enabled() {
     let program = assemble("li t0, 1\necall\n").unwrap();
-    let mut cpu = Diag::new(DiagConfig::f4c2());
-    cpu.run(&program, 1).unwrap();
-    assert!(cpu.last_trace().is_empty());
+    let machines: [Box<dyn Machine>; 3] = [
+        Box::new(Diag::new(DiagConfig::f4c2())),
+        Box::new(OooCpu::paper_baseline()),
+        Box::new(InOrder::new()),
+    ];
+    for mut cpu in machines {
+        let name = cpu.name();
+        let sink = VecSink::shared();
+        // A tracer takes effect from the next load: installed mid-run,
+        // it records nothing of that run.
+        cpu.load(&program, 2);
+        cpu.set_tracer(Tracer::to_shared(sink.clone()));
+        while !cpu.step().unwrap().is_halted() {}
+        assert!(sink.borrow().events().is_empty(), "{name}");
+        cpu.run(&program, 2).unwrap();
+        assert_eq!(retirements(sink.borrow().events()).len(), 4, "{name}");
+    }
 }
 
 #[test]
