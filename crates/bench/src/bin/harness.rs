@@ -9,8 +9,6 @@
 //! harness metrics <file>
 //! harness tune [workload ...|all] [--grid SPEC;...] [--scale S|--quick]
 //!              [--threads N] [--simt] [--jobs N] [--strict] [--out FILE]
-//! harness bench [workload ...|all] [--scale S|--quick] [--repeat N] [--out FILE]
-//!               [--baseline FILE] [--max-regress PCT]
 //! harness trace <workload> [--machine M] [--format F] [--window N]
 //!               [--out FILE] [--threads N] [--simt] [--scale S|--quick]
 //! harness profile <workload> [--machine M] [--format text|json|folded]
@@ -72,15 +70,6 @@
 //! run is memoized by the session's run stage, so a warm re-tune
 //! simulates nothing and prints a byte-identical report.
 //!
-//! `bench` times the *simulator itself*: host nanoseconds per committed
-//! instruction for every named workload (default: all) on every machine
-//! model, serially, best of `--repeat N` runs (default 3). The report is
-//! written as JSON to `--out FILE` (default `BENCH_sim.json`); the host
-//! metadata object records the artifact-cache counters of the run. With
-//! `--baseline FILE` each row gains a `speedup_vs_seed` field against the
-//! recorded numbers, and `--max-regress PCT` exits non-zero if the
-//! aggregate ns/instr regressed by more than PCT percent.
-//!
 //! `trace` runs one workload with the [`diag_trace`] subsystem attached
 //! and exports the event stream: `--format perfetto` (default) writes
 //! Chrome trace-event JSON loadable at <https://ui.perfetto.dev>,
@@ -105,7 +94,7 @@ use diag_bench::cli::{self, CliSpec, CommonArgs, Extra, Flag};
 use diag_bench::runner::{build_machine, run_built, MachineSpec};
 use diag_bench::sweep::Sweep;
 use diag_bench::tune;
-use diag_bench::{experiments, hostbench, sweep};
+use diag_bench::{experiments, sweep};
 use diag_pipeline::{DiskCache, ReportFormat, Session};
 use diag_profile::{
     diff_profiles, render_text, to_folded, CycleModel, Profile, ProfileCollector, ProfileMeta,
@@ -125,7 +114,6 @@ subcommands:
   sweep [workload ...]   run workloads on every machine; cycles/IPC table
   metrics <file>         pretty-print a saved telemetry exposition
   tune [workload ...]    sweep a DiAG config grid; cycles/energy Pareto frontier
-  bench [workload ...]   time the simulator itself; write BENCH_sim.json
   trace <workload>       run one workload with tracing and export events
   profile <workload>     run one workload with cycle accounting attached
   profile diff <a> <b>   compare two saved JSON profiles
@@ -145,8 +133,6 @@ sweep options:    [--scale tiny|small|full | --quick] [--jobs N] [--strict]
                   [--metrics-out FILE]
 tune options:     [--scale tiny|small|full | --quick] [--threads N] [--simt]
                   [--jobs N] [--strict] [--out FILE] [--grid SPEC;SPEC;...]
-bench options:    [--scale tiny|small|full | --quick] [--repeat N] [--out FILE]
-                  [--baseline FILE] [--max-regress PCT]
 trace options:    [--machine SPEC] [--format perfetto|jsonl|heatmap|timeline]
                   [--window N] [--out FILE] [--threads N] [--simt] [--quick]
 profile options:  [--machine SPEC] [--format text|json|folded]
@@ -552,115 +538,6 @@ fn tune_cmd(args: &[String]) -> i32 {
         return 1;
     }
     0
-}
-
-/// The `bench` subcommand: host-time the simulator over workloads ×
-/// machines and write `BENCH_sim.json`. Returns the process exit code.
-fn bench_cmd(args: &[String]) -> i32 {
-    const SPEC: CliSpec = CliSpec {
-        cmd: "bench",
-        flags: &[Flag::Scale, Flag::Out],
-        extras: &[
-            Extra {
-                name: "--repeat",
-                takes_value: true,
-            },
-            Extra {
-                name: "--baseline",
-                takes_value: true,
-            },
-            Extra {
-                name: "--max-regress",
-                takes_value: true,
-            },
-        ],
-        default_scale: Scale::Small,
-    };
-    let args = parse_or_usage(&SPEC, args);
-    let repeat = match args.value("--repeat") {
-        Some(v) => match v.parse::<u32>() {
-            Ok(n) => n.max(1),
-            Err(_) => {
-                eprintln!("--repeat needs a positive integer");
-                usage();
-            }
-        },
-        None => 3,
-    };
-    let max_regress = match args.value("--max-regress") {
-        Some(v) => match v.parse::<f64>() {
-            Ok(pct) => Some(pct),
-            Err(_) => {
-                eprintln!("--max-regress needs a percentage");
-                usage();
-            }
-        },
-        None => None,
-    };
-    let out_path = args.out.clone().unwrap_or_else(|| "BENCH_sim.json".into());
-    let specs = resolve_workloads(&args.positionals);
-    let params = args.params();
-    let baseline = match args.value("--baseline") {
-        Some(path) => match std::fs::read_to_string(path) {
-            Ok(text) => match hostbench::BenchBaseline::parse(&text) {
-                Ok(b) => Some(b),
-                Err(e) => {
-                    eprintln!("cannot parse baseline {path}: {e}");
-                    return 1;
-                }
-            },
-            Err(e) => {
-                eprintln!("cannot read baseline {path}: {e}");
-                return 1;
-            }
-        },
-        None => None,
-    };
-    let session = args.session();
-    let report = hostbench::run_bench(&session, &specs, &params, repeat, baseline.as_ref());
-    let json = hostbench::to_json(&report, baseline.as_ref());
-    if let Err(e) = write_output(&out_path, &json) {
-        eprintln!("{e}");
-        return 1;
-    }
-    let mut table = diag_power::TextTable::new(
-        ["benchmark", "machine", "ns/instr", "sim cycles", "vs seed"]
-            .iter()
-            .map(|s| s.to_string()),
-    );
-    for row in &report.rows {
-        table.row([
-            row.workload.clone(),
-            row.machine.clone(),
-            format!("{:.1}", row.ns_per_instr),
-            row.sim_cycles.to_string(),
-            match row.speedup_vs_seed {
-                Some(s) => format!("{s:.2}x"),
-                None => "-".to_string(),
-            },
-        ]);
-    }
-    println!("{}", table.render());
-    eprintln!(
-        "total: {:.1} ns/instr over {} committed instructions; wrote {out_path}",
-        report.total_ns_per_instr(),
-        report.total_committed()
-    );
-    for failure in &report.failures {
-        eprintln!("failed: {failure}");
-    }
-    report_cache(&session);
-    if let (Some(pct), Some(b)) = (max_regress, baseline.as_ref()) {
-        if let Err(e) = hostbench::check_regression(&report, b, pct) {
-            eprintln!("bench regression gate: {e}");
-            return 1;
-        }
-    }
-    if report.failures.is_empty() {
-        0
-    } else {
-        1
-    }
 }
 
 /// Resolves the one workload named on a trace/profile command line,
@@ -1125,7 +1002,6 @@ fn main() {
         Some("sweep") => sweep_cmd(&args[1..]),
         Some("metrics") => metrics_cmd(&args[1..]),
         Some("tune") => tune_cmd(&args[1..]),
-        Some("bench") => bench_cmd(&args[1..]),
         Some("trace") => trace_cmd(&args[1..]),
         Some("profile") => profile_cmd(&args[1..]),
         Some("cache") => cache_cmd(&args[1..]),

@@ -167,12 +167,7 @@ pub fn parse(spec: &CliSpec, args: &[String]) -> Result<CommonArgs, String> {
             "--no-cache" => out.no_cache = true,
             "--cache-dir" => out.cache_dir = Some(value_of(&mut it, "--cache-dir")?.clone()),
             "--scale" if has(Flag::Scale) => {
-                out.scale = match value_of(&mut it, "--scale")?.as_str() {
-                    "tiny" => Scale::Tiny,
-                    "small" => Scale::Small,
-                    "full" => Scale::Full,
-                    other => return Err(format!("unknown scale `{other}` (tiny|small|full)")),
-                };
+                out.scale = Scale::parse(value_of(&mut it, "--scale")?)?;
             }
             "--quick" if has(Flag::Scale) => out.scale = Scale::Tiny,
             "--threads" if has(Flag::Threads) => {

@@ -1,6 +1,7 @@
-//! Host build metadata stamped into benchmark and profile reports.
+//! Host build metadata stamped into profile reports and `diag-serve`
+//! status frames.
 //!
-//! A `BENCH_sim.json` from three months ago is only comparable to
+//! A saved profile from three months ago is only comparable to
 //! today's if you know what produced it: the compiler version, the
 //! commit, and whether the build used the workspace's thin-LTO release
 //! profile. This module collects those facts once per process (the
@@ -70,8 +71,8 @@ pub fn host_entries_with_repeat(repeat: u32) -> Vec<(String, String)> {
 }
 
 /// Artifact-cache counters as ordered `(key, value)` pairs, appended to
-/// the host block by both `BENCH_sim.json` and the `diag-serve` `status`
-/// frame — one source of truth for the keys and their order.
+/// the host block of the `diag-serve` `status` frame — one source of
+/// truth for the keys and their order.
 pub fn cache_entries(cache: &CacheCounters) -> Vec<(String, String)> {
     vec![
         ("cache_hits".to_string(), cache.hits().to_string()),

@@ -5,8 +5,8 @@
 //! plumbing in [`runner`], the parallel work-queue runner in [`sweep`],
 //! the shared subcommand flag parser in [`cli`], and a CLI binary
 //! (`harness`) that prints the same rows/series the paper reports with
-//! the paper's published values alongside. Simulator microbenchmarks
-//! (dependency-free timing harnesses) live under `benches/`.
+//! the paper's published values alongside. Host-time measurement of the
+//! simulator itself lives in the repository's `benchmark/` package.
 //!
 //! Experiments enqueue every `(machine, workload, params)` simulation
 //! into a [`sweep::Sweep`] and assemble their tables from the results in
@@ -21,7 +21,6 @@
 
 pub mod cli;
 pub mod experiments;
-pub mod hostbench;
 pub mod hostmeta;
 pub mod metricsfmt;
 pub mod runner;

@@ -1,5 +1,5 @@
-//! Shared experiment plumbing: machine construction, workload runs, and
-//! relative-performance math.
+//! Shared experiment plumbing: machine construction and verified
+//! workload runs.
 
 use std::fmt;
 
@@ -7,7 +7,7 @@ use diag_baseline::{InOrder, O3Config, OooCpu};
 use diag_core::Diag;
 use diag_pipeline::{run_key, Session};
 use diag_sim::{Machine, RunStats, SimError};
-use diag_workloads::{Params, Scale, WorkloadSpec};
+use diag_workloads::{Params, WorkloadSpec};
 
 pub use diag_core::MachineSpec;
 
@@ -183,62 +183,6 @@ pub fn run_verified_with(
     Ok(stats)
 }
 
-/// [`run_verified_with`] over a throwaway in-memory session, for callers
-/// that run one thing once.
-///
-/// # Errors
-///
-/// Returns a [`RunError`] describing the failing stage — build, simulate,
-/// or verify — so sweeps can aggregate failures instead of aborting.
-pub fn run_verified(
-    machine_spec: &MachineSpec,
-    spec: &WorkloadSpec,
-    params: &Params,
-) -> Result<RunStats, RunError> {
-    run_verified_with(&Session::in_memory(), machine_spec, spec, params)
-}
-
-/// [`run_verified`], but aborting on failure — for callers where a wrong
-/// experiment result must never be silently dropped (`harness --strict`).
-///
-/// # Panics
-///
-/// Panics on build, run, or verification failure.
-pub fn run_verified_strict(
-    machine_spec: &MachineSpec,
-    spec: &WorkloadSpec,
-    params: &Params,
-) -> RunStats {
-    run_verified(machine_spec, spec, params).unwrap_or_else(|e| panic!("{e}"))
-}
-
-/// Relative performance of `machine_spec` vs `baseline` on `spec`
-/// (ratio of baseline cycles to machine cycles at equal frequency — >1
-/// means faster than baseline, the paper's reporting convention).
-///
-/// # Errors
-///
-/// Propagates the first failing run's [`RunError`].
-pub fn relative_performance(
-    machine_spec: &MachineSpec,
-    baseline: &MachineSpec,
-    spec: &WorkloadSpec,
-    params: &Params,
-) -> Result<f64, RunError> {
-    let base = run_verified(baseline, spec, params)?;
-    let ours = run_verified(machine_spec, spec, params)?;
-    Ok(base.cycles as f64 / ours.cycles as f64)
-}
-
-/// Default benchmarking scale for harness runs.
-pub fn harness_scale(quick: bool) -> Scale {
-    if quick {
-        Scale::Tiny
-    } else {
-        Scale::Small
-    }
-}
-
 /// The paper's multi-threaded configuration: 12 threads (one per baseline
 /// core, §7.1).
 pub const MT_THREADS: usize = 12;
@@ -252,22 +196,15 @@ mod tests {
     #[test]
     fn run_verified_produces_stats() {
         let spec = find("x264").unwrap();
-        let stats = run_verified(&MachineSpec::InOrder, &spec, &Params::tiny()).unwrap();
-        assert!(stats.cycles > 0);
-        assert!(stats.committed > 0);
-    }
-
-    #[test]
-    fn relative_performance_is_positive() {
-        let spec = find("deepsjeng").unwrap();
-        let rel = relative_performance(
-            &MachineSpec::Diag(DiagConfig::f4c2()),
-            &MachineSpec::Ooo(1),
+        let stats = run_verified_with(
+            &Session::in_memory(),
+            &MachineSpec::InOrder,
             &spec,
             &Params::tiny(),
         )
         .unwrap();
-        assert!(rel > 0.05 && rel < 20.0, "rel = {rel}");
+        assert!(stats.cycles > 0);
+        assert!(stats.committed > 0);
     }
 
     #[test]

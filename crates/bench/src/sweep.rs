@@ -230,12 +230,6 @@ pub fn default_jobs() -> usize {
     std::thread::available_parallelism().map_or(1, |n| n.get())
 }
 
-/// Executes `runs` on up to `jobs` worker threads against a fresh shared
-/// in-memory artifact store; see [`run_sweep_with`].
-pub fn run_sweep(runs: &[SweepRun], jobs: usize) -> Vec<Result<RunStats, RunError>> {
-    run_sweep_with(&Session::in_memory(), runs, jobs)
-}
-
 /// Executes `runs` on up to `jobs` worker threads, returning one result
 /// per run **in submission order**. Workers pull indices from a shared
 /// atomic counter, so scheduling is dynamic but the output ordering (and

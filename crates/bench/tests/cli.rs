@@ -18,21 +18,9 @@ fn scratch(test: &str) -> std::path::PathBuf {
 }
 
 #[test]
-fn help_documents_the_bench_subcommand() {
-    let out = harness().arg("--help").output().unwrap();
-    let text =
-        String::from_utf8_lossy(&out.stdout).to_string() + &String::from_utf8_lossy(&out.stderr);
-    assert!(text.contains("bench"), "help must list `bench`: {text}");
-    assert!(
-        text.contains("--quick") && text.contains("--baseline"),
-        "help must list bench options: {text}"
-    );
-}
-
-#[test]
-fn bench_rejects_unknown_flags() {
+fn sweep_rejects_unknown_flags() {
     let out = harness()
-        .args(["bench", "--no-such-flag"])
+        .args(["sweep", "--no-such-flag"])
         .output()
         .unwrap();
     assert_eq!(out.status.code(), Some(2), "unknown flag must exit 2");
@@ -44,12 +32,22 @@ fn bench_rejects_unknown_flags() {
 }
 
 #[test]
-fn bench_rejects_unknown_workloads() {
+fn sweep_rejects_unknown_workloads() {
     let out = harness()
-        .args(["bench", "definitely-not-a-workload"])
+        .args(["sweep", "definitely-not-a-workload"])
         .output()
         .unwrap();
     assert_eq!(out.status.code(), Some(2));
+}
+
+#[test]
+fn bench_is_an_unknown_experiment() {
+    // Host-time benchmarking lives in the `benchmark/` package; `bench`
+    // falls through to `run` like any other unknown experiment name.
+    let out = harness().args(["bench", "--no-cache"]).output().unwrap();
+    assert_eq!(out.status.code(), Some(2));
+    let err = String::from_utf8_lossy(&out.stderr);
+    assert!(err.contains("unknown experiment `bench`"), "{err}");
 }
 
 #[test]
@@ -99,7 +97,15 @@ fn out_paths_create_missing_parent_directories() {
     );
     let json = std::fs::read_to_string(&profile_out).expect("profile written");
     assert!(json.contains("diag-profile-v1"), "schema header: {json}");
-    assert!(json.contains("\"host\""), "host metadata header: {json}");
+    for key in [
+        "\"host\"",
+        "\"rustc\"",
+        "\"git_rev\"",
+        "\"thin_lto\"",
+        "\"repeat\"",
+    ] {
+        assert!(json.contains(key), "profile JSON must carry {key}: {json}");
+    }
 
     let trace_out = dir.join("c/d/trace.jsonl");
     let out = harness()
@@ -144,40 +150,6 @@ fn profile_diff_of_identical_profiles_reports_no_changes() {
         text.contains("no per-PC self-cycle changes"),
         "self-diff must be empty: {text}"
     );
-    let _ = std::fs::remove_dir_all(&dir);
-}
-
-#[test]
-fn bench_json_carries_host_metadata() {
-    let dir = scratch("benchhost");
-    let path = dir.join("bench.json");
-    let out = harness()
-        .args(["bench", "hotspot", "--quick", "--repeat", "1", "--out"])
-        .arg(&path)
-        .output()
-        .unwrap();
-    assert_eq!(
-        out.status.code(),
-        Some(0),
-        "{}",
-        String::from_utf8_lossy(&out.stderr)
-    );
-    let json = std::fs::read_to_string(&path).expect("bench written");
-    for key in [
-        "\"host\"",
-        "\"rustc\"",
-        "\"git_rev\"",
-        "\"thin_lto\"",
-        "\"repeat\"",
-        "\"cache_hits\"",
-        "\"cache_builds\"",
-        "\"cache_disk_hits\"",
-        "\"cache_disk_writes\"",
-    ] {
-        assert!(json.contains(key), "bench JSON must carry {key}: {json}");
-    }
-    // The baseline parser must still accept reports with the new header.
-    diag_bench::hostbench::BenchBaseline::parse(&json).expect("baseline parses");
     let _ = std::fs::remove_dir_all(&dir);
 }
 

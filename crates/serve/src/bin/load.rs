@@ -39,7 +39,6 @@ use std::process::ExitCode;
 use std::time::Instant;
 
 use diag_bench::cli::{self, CliSpec, Extra, Flag};
-use diag_bench::hostbench::scale_name;
 use diag_bench::runner::MachineSpec;
 use diag_isa::prng::SplitMix64;
 use diag_serve::{Client, Frame, Submit};
@@ -144,7 +143,7 @@ fn drive(plan: &Plan, conn_idx: u64) -> std::io::Result<ConnReport> {
             let workload = &plan.workloads[rng.gen_range(0..plan.workloads.len())];
             let machine = &plan.machines[rng.gen_range(0..plan.machines.len())];
             let mut submit = Submit::new(next, workload, machine);
-            submit.scale = scale_name(plan.scale).to_string();
+            submit.scale = plan.scale.name().to_string();
             client.submit(&submit)?;
             sent.insert(next, Instant::now());
             next += 1;
@@ -234,13 +233,10 @@ fn print_server_view(frame: &Frame, scale: Scale, total: &ConnReport, client: &H
             ms(hist(&key, "p99").unwrap_or(0)),
         );
     }
-    let key = format!(
-        "diag_serve_first_byte_ns{{scale=\"{}\"}}",
-        scale_name(scale)
-    );
+    let key = format!("diag_serve_first_byte_ns{{scale=\"{}\"}}", scale.name());
     println!(
         "diag-load: server first-byte[{}] p50 {:.2}ms p99 {:.2}ms vs client p50 {:.2}ms p99 {:.2}ms",
-        scale_name(scale),
+        scale.name(),
         ms(hist(&key, "p50").unwrap_or(0)),
         ms(hist(&key, "p99").unwrap_or(0)),
         ms(client.p50()),

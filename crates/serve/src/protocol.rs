@@ -169,12 +169,7 @@ pub fn parse_request(line: &str) -> Result<Request, String> {
                 .and_then(Value::as_str)
                 .ok_or("submit needs a `workload`")?
                 .to_string();
-            let scale = match doc.get("scale").and_then(Value::as_str).unwrap_or("tiny") {
-                "tiny" => Scale::Tiny,
-                "small" => Scale::Small,
-                "full" => Scale::Full,
-                other => return Err(format!("unknown scale `{other}` (tiny|small|full)")),
-            };
+            let scale = Scale::parse(doc.get("scale").and_then(Value::as_str).unwrap_or("tiny"))?;
             let config = match doc.get("config") {
                 None => Vec::new(),
                 Some(Value::Obj(entries)) => {
@@ -385,8 +380,8 @@ pub struct StatusSnapshot {
     /// Jobs cancelled while queued.
     pub cancelled: u64,
     /// Pre-rendered host-metadata JSON object (see
-    /// [`diag_bench::hostmeta::render_host_object`]) — the same block
-    /// `BENCH_sim.json` carries.
+    /// [`diag_bench::hostmeta::render_host_object`]) — the build keys
+    /// profile JSON carries, plus the session's cache counters.
     pub host: String,
 }
 

@@ -35,7 +35,6 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 use std::time::Instant;
 
-use diag_bench::hostbench::scale_name;
 use diag_bench::runner::MachineSpec;
 use diag_bench::sweep::{self, SweepRun};
 use diag_core::apply_override;
@@ -246,7 +245,7 @@ fn reject_idx(code: u16) -> usize {
 impl ServeMetrics {
     fn new(registry: &Registry) -> ServeMetrics {
         let per_scale =
-            |name: &str| SCALES.map(|s| registry.histogram(name, &[("scale", scale_name(s))]));
+            |name: &str| SCALES.map(|s| registry.histogram(name, &[("scale", s.name())]));
         ServeMetrics {
             submitted: registry.counter("diag_serve_submitted_total", &[]),
             completed: registry.counter("diag_serve_completed_total", &[]),

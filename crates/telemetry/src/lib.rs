@@ -35,7 +35,7 @@
 //! Host-time attribution uses [`SpanTimer`], a scoped timer that only
 //! calls `Instant::now` when telemetry is enabled — the disabled path
 //! is two branch instructions, which is what keeps the simulator-facing
-//! hot paths (`harness bench`) unaffected when nobody is scraping.
+//! hot paths unaffected when nobody is scraping.
 
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]

@@ -29,6 +29,33 @@ pub enum Scale {
     Full,
 }
 
+impl Scale {
+    /// Parses a scale name as written on command lines and in
+    /// `diag-serve` submits: `tiny`, `small` or `full`.
+    ///
+    /// # Errors
+    ///
+    /// Returns ``unknown scale `x` (tiny|small|full)`` for any other text.
+    pub fn parse(text: &str) -> Result<Scale, String> {
+        match text {
+            "tiny" => Ok(Scale::Tiny),
+            "small" => Ok(Scale::Small),
+            "full" => Ok(Scale::Full),
+            other => Err(format!("unknown scale `{other}` (tiny|small|full)")),
+        }
+    }
+
+    /// The lowercase name [`Scale::parse`] accepts, also used as the
+    /// `scale` telemetry label.
+    pub fn name(self) -> &'static str {
+        match self {
+            Scale::Tiny => "tiny",
+            Scale::Small => "small",
+            Scale::Full => "full",
+        }
+    }
+}
+
 /// Build parameters for a workload.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Params {
@@ -217,6 +244,17 @@ mod tests {
     fn find_works() {
         assert!(find("hotspot").is_some());
         assert!(find("nonexistent").is_none());
+    }
+
+    #[test]
+    fn scales_round_trip_through_their_names() {
+        for scale in [Scale::Tiny, Scale::Small, Scale::Full] {
+            assert_eq!(Scale::parse(scale.name()), Ok(scale));
+        }
+        assert_eq!(
+            Scale::parse("huge"),
+            Err("unknown scale `huge` (tiny|small|full)".to_string())
+        );
     }
 
     #[test]
