@@ -71,9 +71,8 @@ impl Cfg {
 
         let mut decoded: Vec<Option<Inst>> = Vec::with_capacity(n);
         let mut illegal = Vec::new();
-        for i in 0..n {
+        for (i, &word) in program.text().iter().enumerate() {
             let addr = base + (i as u32) * INST_BYTES;
-            let word = program.fetch(addr).expect("in text");
             match program.decode_at(addr) {
                 Some(inst) => decoded.push(Some(inst)),
                 None => {
@@ -146,13 +145,11 @@ impl Cfg {
                 }
                 at += INST_BYTES;
             }
-            if insts.is_empty() {
-                // A leader pointing directly at an illegal word: represent
-                // it as an empty-succ block holding nothing? Instead skip —
-                // the illegal word is already reported.
+            // A leader pointing directly at an illegal word holds nothing:
+            // skip it — the illegal word is already reported.
+            let Some(&(last_pc, last)) = insts.last() else {
                 continue;
-            }
-            let (last_pc, last) = *insts.last().expect("non-empty");
+            };
             // Fall-through past the end of text without a halt.
             if last_pc + INST_BYTES == end
                 && matches!(
@@ -177,7 +174,9 @@ impl Cfg {
         let index_of = |addr: u32| blocks.binary_search_by_key(&addr, |b| b.start).ok();
         let mut edges: Vec<(usize, usize)> = Vec::new();
         for (bi, block) in blocks.iter().enumerate() {
-            let (last_pc, last) = *block.insts.last().expect("non-empty");
+            let Some(&(last_pc, last)) = block.insts.last() else {
+                continue;
+            };
             let ended_by_control = !matches!(last.control_flow(), ControlFlow::Next);
             let (fall, taken) = if ended_by_control {
                 last.static_successors(last_pc)
@@ -264,9 +263,10 @@ impl Cfg {
         let mut state = vec![0u8; n]; // 0 unvisited, 1 on stack, 2 done
         let mut stack = vec![(self.entry, 0usize)];
         state[self.entry] = 1;
-        while let Some((b, next)) = stack.last().copied() {
+        while let Some(top) = stack.last_mut() {
+            let (b, next) = *top;
             if next < self.blocks[b].succs.len() {
-                stack.last_mut().expect("non-empty").1 += 1;
+                top.1 += 1;
                 let s = self.blocks[b].succs[next];
                 if state[s] == 0 {
                     state[s] = 1;
@@ -286,16 +286,17 @@ impl Cfg {
 
         let mut idom: Vec<Option<usize>> = vec![None; n];
         idom[self.entry] = Some(self.entry);
+        // Both walks stay on processed blocks, whose idom is set.
         let intersect = |idom: &[Option<usize>], mut a: usize, mut b: usize| {
             while a != b {
                 while rpo_number[a] > rpo_number[b] {
-                    a = idom[a].expect("processed");
+                    a = idom[a]?;
                 }
                 while rpo_number[b] > rpo_number[a] {
-                    b = idom[b].expect("processed");
+                    b = idom[b]?;
                 }
             }
-            a
+            Some(a)
         };
         let mut changed = true;
         while changed {
@@ -306,10 +307,10 @@ impl Cfg {
                     if idom[p].is_none() {
                         continue;
                     }
-                    new_idom = Some(match new_idom {
-                        None => p,
+                    new_idom = match new_idom {
+                        None => Some(p),
                         Some(cur) => intersect(&idom, cur, p),
-                    });
+                    };
                 }
                 if new_idom.is_some() && idom[b] != new_idom {
                     idom[b] = new_idom;

@@ -136,7 +136,9 @@ fn exit_kind(cfg: &Cfg, b: usize) -> ExitKind {
     if block.falls_off_text {
         return ExitKind::Unknown;
     }
-    let (_, last) = *block.insts.last().expect("non-empty");
+    let Some(&(_, last)) = block.insts.last() else {
+        return ExitKind::Unknown;
+    };
     use diag_isa::ControlFlow;
     match last.control_flow() {
         // A trap with no in-text vector also ends the thread; when a

@@ -80,7 +80,7 @@ pub fn perf_bounds(cfg: &Cfg, config: &DiagConfig, threads: usize) -> PerfBounds
     let steady = loops
         .iter()
         .map(|l| l.ipc_bound * rings)
-        .max_by(|a, b| a.partial_cmp(b).expect("finite"))
+        .max_by(|a, b| a.total_cmp(b))
         .map(|b| b.min(commit_width * rings));
     PerfBounds {
         ipc_bound: commit_width * rings,

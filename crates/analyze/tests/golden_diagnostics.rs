@@ -76,5 +76,9 @@ fn corpus_reports_are_byte_deterministic() {
             "{}: independent analyses rendered differently",
             spec.name
         );
+        for line in a.lines() {
+            diag_trace::json::parse(line)
+                .unwrap_or_else(|e| panic!("{}: report is not JSON: {e}", spec.name));
+        }
     }
 }

@@ -172,7 +172,9 @@ impl Program {
         let hi = (addr + after * INST_BYTES).min(self.text_end() - INST_BYTES);
         let mut at = lo;
         while at <= hi {
-            let word = self.fetch(at).expect("in text");
+            let Some(word) = self.fetch(at) else {
+                break;
+            };
             let marker = if at == addr { '>' } else { ' ' };
             match decode(word) {
                 Ok(inst) => lines.push(format!("{marker} {at:#07x}: {inst}")),
@@ -189,10 +191,10 @@ impl Program {
         let mut out = String::new();
         for (i, &word) in self.text.iter().enumerate() {
             let addr = self.text_base + (i as u32) * INST_BYTES;
-            match decode(word) {
-                Ok(inst) => writeln!(out, "{addr:#07x}: {word:08x}  {inst}").unwrap(),
-                Err(_) => writeln!(out, "{addr:#07x}: {word:08x}  <illegal>").unwrap(),
-            }
+            let _ = match decode(word) {
+                Ok(inst) => writeln!(out, "{addr:#07x}: {word:08x}  {inst}"),
+                Err(_) => writeln!(out, "{addr:#07x}: {word:08x}  <illegal>"),
+            };
         }
         out
     }

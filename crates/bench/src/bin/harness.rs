@@ -15,8 +15,6 @@
 //!               [--top N] [--out FILE] [--threads N] [--simt] [--scale S|--quick]
 //! harness profile diff <before.json> <after.json> [--top N]
 //! harness cache stats|clear [--cache-dir DIR]
-//! harness serve [--addr HOST:PORT] [--workers N] [--capacity N]
-//!               [--quantum N] [--port-file FILE]
 //! harness --help
 //! ```
 //!
@@ -118,7 +116,6 @@ subcommands:
   profile <workload>     run one workload with cycle accounting attached
   profile diff <a> <b>   compare two saved JSON profiles
   cache stats|clear      inspect or empty the on-disk artifact cache
-  serve                  start the persistent experiment server (diag-serve)
   --help                 this message
 
 global options (every subcommand):
@@ -145,8 +142,6 @@ machine specs (--machine, --grid): diag[:preset][+key=value,...] | ooo[:cores]
   reuse simt.
 profile diff options: [--top N]
 cache options:    [--cache-dir DIR]
-serve options:    [--addr HOST:PORT] [--workers N] [--capacity N] [--quantum N]
-                  [--port-file FILE]
 
 experiments: table1 table2 table3 fig9a fig9b fig10a fig10b fig11 fig12
              stalls ablation-lane ablation-reuse ablation-simt
@@ -955,41 +950,6 @@ const ALL: [&str; 15] = [
 /// Marker `sweep::append_failures` puts in a report when runs failed.
 const FAILURE_MARKER: &str = "failed runs (";
 
-/// The `serve` subcommand: delegates to the co-built `diag-serve`
-/// binary with the arguments passed through verbatim. The server crate
-/// depends on this one (it reuses the sweep runner and CLI parser), so
-/// the harness cannot link it directly without a dependency cycle —
-/// instead it execs the sibling binary cargo placed next to itself.
-fn serve_cmd(args: &[String]) -> i32 {
-    let exe = match std::env::current_exe() {
-        Ok(path) => path,
-        Err(e) => {
-            eprintln!("serve: cannot locate the harness binary: {e}");
-            return 1;
-        }
-    };
-    let name = if cfg!(windows) {
-        "diag-serve.exe"
-    } else {
-        "diag-serve"
-    };
-    let sibling = exe.with_file_name(name);
-    if !sibling.exists() {
-        eprintln!(
-            "serve: `{}` not found — build it with `cargo build -p diag-serve`",
-            sibling.display()
-        );
-        return 1;
-    }
-    match std::process::Command::new(&sibling).args(args).status() {
-        Ok(status) => status.code().unwrap_or(1),
-        Err(e) => {
-            eprintln!("serve: cannot run {}: {e}", sibling.display());
-            1
-        }
-    }
-}
-
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let code = match args.first().map(String::as_str) {
@@ -1005,7 +965,6 @@ fn main() {
         Some("trace") => trace_cmd(&args[1..]),
         Some("profile") => profile_cmd(&args[1..]),
         Some("cache") => cache_cmd(&args[1..]),
-        Some("serve") => serve_cmd(&args[1..]),
         Some("run") => run_cmd(&args[1..]),
         Some(_) => run_cmd(&args),
         None => usage(),

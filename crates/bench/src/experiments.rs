@@ -801,6 +801,9 @@ mod tests {
         let serial = ablation_simt_interval(&Session::in_memory(), Scale::Tiny, 1);
         let parallel = ablation_simt_interval(&Session::in_memory(), Scale::Tiny, 4);
         assert_eq!(serial, parallel);
+        let fig9a =
+            |jobs| fig_single_thread(&Session::in_memory(), Suite::Rodinia, Scale::Tiny, jobs);
+        assert_eq!(fig9a(1), fig9a(8));
     }
 
     #[test]

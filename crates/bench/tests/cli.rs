@@ -42,12 +42,18 @@ fn sweep_rejects_unknown_workloads() {
 
 #[test]
 fn bench_is_an_unknown_experiment() {
-    // Host-time benchmarking lives in the `benchmark/` package; `bench`
-    // falls through to `run` like any other unknown experiment name.
-    let out = harness().args(["bench", "--no-cache"]).output().unwrap();
-    assert_eq!(out.status.code(), Some(2));
-    let err = String::from_utf8_lossy(&out.stderr);
-    assert!(err.contains("unknown experiment `bench`"), "{err}");
+    // Host-time benchmarking lives in the `benchmark/` package, and the
+    // server is the `diag-serve` binary; `bench` and `serve` fall
+    // through to `run` like any other unknown experiment name.
+    for name in ["bench", "serve"] {
+        let out = harness().args([name, "--no-cache"]).output().unwrap();
+        assert_eq!(out.status.code(), Some(2), "{name}");
+        let err = String::from_utf8_lossy(&out.stderr);
+        assert!(
+            err.contains(&format!("unknown experiment `{name}`")),
+            "{err}"
+        );
+    }
 }
 
 #[test]
@@ -222,6 +228,30 @@ fn cold_and_warm_outputs_are_byte_identical() {
     let (uncached, _) = run_ok(&["analyze", "hotspot", "--json", "--no-cache"]);
     assert_eq!(cold, uncached, "--no-cache changed analyze output");
 
+    // tune: the warm re-tune serves every grid point from the disk run
+    // memo. It runs before any other simulation touches this cache.
+    let tune_args = [
+        "tune",
+        "hotspot",
+        "--quick",
+        "--grid",
+        "diag:f4c2;diag:f4c32",
+        "--cache-dir",
+        cache,
+    ];
+    let (cold, cold_err) = run_ok(&tune_args);
+    let (warm, warm_err) = run_ok(&tune_args);
+    assert!(
+        cold_err.contains("tune: 2 run-stage builds, 0 run-stage hits"),
+        "cold tune must simulate both grid points: {cold_err}"
+    );
+    assert!(
+        warm_err.contains("tune: 0 run-stage builds, 2 run-stage hits"),
+        "warm tune must rebuild nothing: {warm_err}"
+    );
+    assert!(String::from_utf8_lossy(&cold).contains("on the cycles/energy frontier"));
+    assert_eq!(cold, warm, "tune output changed between cold and warm");
+
     // sweep and profile: simulation-derived stdout is cache-invariant.
     let sweep_args = [
         "sweep",
@@ -284,7 +314,8 @@ fn cache_subcommand_reports_and_clears() {
     let dir = scratch("cachecmd");
     let cache = dir.join("cache");
     let cache = cache.to_str().unwrap();
-    run_ok(&["analyze", "hotspot", "--json", "--cache-dir", cache]);
+    let analyze = ["analyze", "hotspot", "--json", "--cache-dir", cache];
+    let (cold, _) = run_ok(&analyze);
 
     let (stats, _) = run_ok(&["cache", "stats", "--cache-dir", cache]);
     let stats = String::from_utf8_lossy(&stats).to_string();
@@ -297,9 +328,49 @@ fn cache_subcommand_reports_and_clears() {
     let (stats, _) = run_ok(&["cache", "stats", "--cache-dir", cache]);
     let stats = String::from_utf8_lossy(&stats).to_string();
     assert!(stats.contains(": 0 blobs"), "cleared cache: {stats}");
+    let (rebuilt, _) = run_ok(&analyze);
+    assert_eq!(
+        cold, rebuilt,
+        "a cleared cache must rebuild identical output"
+    );
 
     // Missing mode is a usage error.
     let out = harness().args(["cache"]).output().unwrap();
     assert_eq!(out.status.code(), Some(2));
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn metrics_renders_a_captured_serve_frame() {
+    let config = diag_serve::ServeConfig {
+        addr: "127.0.0.1:0".to_string(),
+        workers: 1,
+        capacity: 16,
+        quantum: 1,
+    };
+    let handle = diag_serve::Server::bind(&config, diag_pipeline::Session::in_memory())
+        .expect("bind ephemeral port")
+        .spawn();
+    let mut client = diag_serve::Client::connect(handle.addr()).expect("connect");
+    client
+        .submit(&diag_serve::Submit::new(1, "hotspot", "diag"))
+        .expect("submit");
+    let result = client.recv().expect("read").expect("result frame");
+    assert_eq!(result.ok(), Some(true), "{}", result.raw);
+    client.send_verb("metrics").expect("metrics");
+    let frame = client.recv().expect("read").expect("metrics frame");
+    client.send_verb("shutdown").expect("shutdown");
+    let _ = client.recv().expect("read");
+    handle.join().expect("clean server exit");
+
+    let dir = scratch("metrics");
+    let path = dir.join("frame.json");
+    std::fs::write(&path, &frame.raw).unwrap();
+    let (out, _) = run_ok(&["metrics", path.to_str().unwrap()]);
+    let out = String::from_utf8_lossy(&out);
+    assert!(
+        out.contains("diag_serve_execute_ns{scale=\"tiny\"}"),
+        "{out}"
+    );
     let _ = std::fs::remove_dir_all(&dir);
 }

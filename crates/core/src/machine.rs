@@ -152,7 +152,7 @@ impl Diag {
                 ring.clock(),
             );
             run.committed += ring.commit.committed();
-            run.stats.activity += ring.stats.activity();
+            run.stats.activity += ring.stats.activity;
             run.stats.stalls += ring.stats.stalls;
             // Resident-PE·cycles: a loaded cluster's PEs, register-lane
             // segments, and decoder latches stay powered while resident
@@ -262,7 +262,7 @@ impl Machine for Diag {
         stats.committed = run.committed;
         let mut clock = run.finish_time;
         for ring in &run.rings {
-            stats.activity += ring.stats.activity();
+            stats.activity += ring.stats.activity;
             stats.stalls += ring.stats.stalls;
             stats.committed += ring.commit.committed();
             clock = clock.max(ring.clock());

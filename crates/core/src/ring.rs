@@ -22,7 +22,7 @@ use diag_asm::Program;
 use diag_isa::{decode, exec, ArchReg, ExecKind, Inst, Reg, Station, StationSlot, INST_BYTES};
 use diag_mem::{LaneLookup, MemLane, REGFILE_BEATS};
 use diag_sim::{Activity, Bucket, Probes, Retirement, SimError, StallBreakdown};
-use diag_trace::{Counter, Counters, Event, EventKind, StallCause, Track};
+use diag_trace::{Event, EventKind, StallCause, Track};
 
 use crate::cluster::Cluster;
 
@@ -37,18 +37,10 @@ use crate::shared::SharedParts;
 /// Per-ring statistics merged into the machine's [`diag_sim::RunStats`].
 #[derive(Debug, Clone, Copy, Default)]
 pub struct RingStats {
-    /// Component activity as a `diag-trace` counter bank; folded into the
-    /// machine's [`Activity`] via [`RingStats::activity`].
-    pub counters: Counters,
+    /// Component activity, summed into the machine's [`Activity`].
+    pub activity: Activity,
     /// Stall-source cycles (§7.3.2 taxonomy).
     pub stalls: StallBreakdown,
-}
-
-impl RingStats {
-    /// The counter bank viewed as the energy model's [`Activity`] record.
-    pub fn activity(&self) -> Activity {
-        Activity::from(&self.counters)
-    }
 }
 
 /// Which cluster of a ring holds each resident I-line.
@@ -374,10 +366,8 @@ impl RingSim {
         self.resident.insert(line, c);
         self.max_resident = self.max_resident.max(self.resident.len());
         self.last_line = Some((line, arrived));
-        self.stats.counters.inc(Counter::LineFetches);
-        self.stats
-            .counters
-            .add(Counter::BusBeats, diag_mem::ILINE_BEATS);
+        self.stats.activity.line_fetches += 1;
+        self.stats.activity.bus_beats += diag_mem::ILINE_BEATS;
         self.probes.emit(|| Event {
             cycle: arrived,
             thread,
@@ -409,7 +399,7 @@ impl RingSim {
                 },
             };
         }
-        self.stats.counters.add(Counter::Decodes, decoded);
+        self.stats.activity.decodes += decoded;
     }
 
     /// Handles a taken control transfer resolved at `resolve` from global
@@ -452,7 +442,7 @@ impl RingSim {
                             self.probes.tracer(),
                             thread,
                         );
-                        self.stats.counters.add(Counter::BusBeats, REGFILE_BEATS);
+                        self.stats.activity.bus_beats += REGFILE_BEATS;
                         granted + REGFILE_BEATS - resolve
                     };
                     self.time_floor = resolve + delay;
@@ -551,7 +541,7 @@ impl RingSim {
             // queue or an L1D port.
             let line = addr & !(shared_line_mask());
             if !forward && self.clusters[cluster].line_buf_hit(line) {
-                self.stats.counters.inc(Counter::MemlaneHits);
+                self.stats.activity.memlane_hits += 1;
                 return (want, want + 1);
             }
             let (issue, waited, id) = self.clusters[cluster].lsu.issue_blocking_traced(
@@ -563,7 +553,7 @@ impl RingSim {
             );
             self.stall(Track::Lsu(unit), StallCause::Memory, issue, waited);
             let ready = if forward {
-                self.stats.counters.inc(Counter::MemlaneHits);
+                self.stats.activity.memlane_hits += 1;
                 issue + 1
             } else {
                 let out =
@@ -595,12 +585,12 @@ impl RingSim {
     }
 
     pub(crate) fn count_cache(&mut self, out: &diag_mem::MemOutcome) {
-        self.stats.counters.inc(Counter::L1dAccesses);
+        self.stats.activity.l1d_accesses += 1;
         if !out.l1_hit {
-            self.stats.counters.inc(Counter::L1dMisses);
-            self.stats.counters.inc(Counter::L2Accesses);
+            self.stats.activity.l1d_misses += 1;
+            self.stats.activity.l2_accesses += 1;
             if !out.l2_hit {
-                self.stats.counters.inc(Counter::L2Misses);
+                self.stats.activity.l2_misses += 1;
             }
         }
     }
@@ -691,7 +681,7 @@ impl RingSim {
         let prev_clock = self.commit.last_commit();
         let reused = !self.clusters[cluster].mark_decoded(slot_in);
         if reused {
-            self.stats.counters.inc(Counter::ReuseCommits);
+            self.stats.activity.reuse_commits += 1;
         }
         let decode_ready = self.clusters[cluster].decode_ready;
 
@@ -700,7 +690,7 @@ impl RingSim {
         for src in st.srcs.iter() {
             let t = self.lanes.ready_at(src, slot, &self.geom);
             let raw = self.lanes.raw_ready(src);
-            self.stats.counters.add(Counter::LaneTransports, t - raw);
+            self.stats.activity.lane_transports += t - raw;
             if t > raw && self.probes.tracer().enabled() {
                 self.emit_transport(src, slot, raw, t);
             }
@@ -781,7 +771,7 @@ impl RingSim {
                 finish = ready;
                 let raw = shared.mem.read(addr, size);
                 lane_write = st.dest.map(|d| (d, exec::extend_load(op, raw)));
-                self.stats.counters.inc(Counter::Loads);
+                self.stats.activity.loads += 1;
             }
             ExecKind::Store {
                 op,
@@ -800,7 +790,7 @@ impl RingSim {
                 let (issue, ready) = self.issue_mem(cluster, addr, size, true, start, shared);
                 slot_release = Some(issue + 1);
                 finish = ready;
-                self.stats.counters.inc(Counter::Stores);
+                self.stats.activity.stores += 1;
             }
             ExecKind::LoadFp { rs1, offset } => {
                 let addr = self.lanes.value(rs1).wrapping_add(offset as u32);
@@ -812,7 +802,7 @@ impl RingSim {
                 slot_release = Some(issue + 1);
                 finish = ready;
                 lane_write = st.dest.map(|d| (d, shared.mem.read_u32(addr)));
-                self.stats.counters.inc(Counter::Loads);
+                self.stats.activity.loads += 1;
             }
             ExecKind::StoreFp { rs1, rs2, offset } => {
                 let addr = self.lanes.value(rs1).wrapping_add(offset as u32);
@@ -824,7 +814,7 @@ impl RingSim {
                 let (issue, ready) = self.issue_mem(cluster, addr, 4, true, start, shared);
                 slot_release = Some(issue + 1);
                 finish = ready;
-                self.stats.counters.inc(Counter::Stores);
+                self.stats.activity.stores += 1;
             }
             ExecKind::FpOp { op, rs1, rs2 } => {
                 finish = start + st.latency as u64;
@@ -917,7 +907,7 @@ impl RingSim {
         if let Some((lane, value)) = lane_write {
             self.lanes.write(lane, value, finish, slot);
             if !lane.is_zero() {
-                self.stats.counters.inc(Counter::RegWrites);
+                self.stats.activity.reg_writes += 1;
                 self.probes.emit(|| Event {
                     cycle: finish,
                     thread,
@@ -929,16 +919,12 @@ impl RingSim {
             }
         }
         let exec_cycles = finish - start;
-        self.stats
-            .counters
-            .add(Counter::PeActiveCycles, exec_cycles.max(1));
+        self.stats.activity.pe_active_cycles += exec_cycles.max(1);
         if st.uses_fpu {
-            self.stats
-                .counters
-                .add(Counter::FpuActiveCycles, exec_cycles.max(1));
-            self.stats.counters.inc(Counter::FpOps);
+            self.stats.activity.fpu_active_cycles += exec_cycles.max(1);
+            self.stats.activity.fp_ops += 1;
         } else if !st.is_mem {
-            self.stats.counters.inc(Counter::IntOps);
+            self.stats.activity.int_ops += 1;
         }
         let commit_t = self.commit.commit(finish);
         if self.probes.retiring() {

@@ -19,7 +19,7 @@ use std::rc::Rc;
 use diag_isa::{exec, ArchReg, ExecKind, Inst, Reg, Station, INST_BYTES};
 use diag_mem::{LaneLookup, MemLane};
 use diag_sim::{RegionSample, RegionStation, SimError};
-use diag_trace::{Counter, Event, EventKind, StallCause, Track};
+use diag_trace::{Event, EventKind, StallCause, Track};
 
 use crate::lane::LaneFile;
 use crate::ring::RingSim;
@@ -217,9 +217,7 @@ impl RingSim {
         } else {
             0
         };
-        self.stats
-            .counters
-            .add(Counter::ReuseCommits, commits.saturating_sub(first_cost));
+        self.stats.activity.reuse_commits += commits.saturating_sub(first_cost);
         self.probes.emit(|| Event {
             cycle: end_time,
             thread,
@@ -386,10 +384,8 @@ impl RingSim {
             self.populate_stations(i, line);
             self.resident.insert(line, i);
             self.max_resident = self.max_resident.max(self.resident.len());
-            self.stats.counters.inc(Counter::LineFetches);
-            self.stats
-                .counters
-                .add(Counter::BusBeats, diag_mem::ILINE_BEATS);
+            self.stats.activity.line_fetches += 1;
+            self.stats.activity.bus_beats += diag_mem::ILINE_BEATS;
             self.probes.emit(|| Event {
                 cycle: arrived,
                 thread,
@@ -475,15 +471,15 @@ impl RingSim {
             slot_busy[k] = start + occupancy(&st);
             if let Some((lane, value)) = write {
                 lanes.write(lane, value, finish, slot);
-                self.stats.counters.inc(Counter::RegWrites);
+                self.stats.activity.reg_writes += 1;
             }
             let cycles = (finish - start).max(1);
-            self.stats.counters.add(Counter::PeActiveCycles, cycles);
+            self.stats.activity.pe_active_cycles += cycles;
             if st.uses_fpu {
-                self.stats.counters.add(Counter::FpuActiveCycles, cycles);
-                self.stats.counters.inc(Counter::FpOps);
+                self.stats.activity.fpu_active_cycles += cycles;
+                self.stats.activity.fp_ops += 1;
             } else if !st.is_mem {
-                self.stats.counters.inc(Counter::IntOps);
+                self.stats.activity.int_ops += 1;
             }
             *commits += 1;
             busy[k] += cycles;
@@ -555,7 +551,7 @@ impl RingSim {
                     store_floor,
                     shared,
                 );
-                self.stats.counters.inc(Counter::Loads);
+                self.stats.activity.loads += 1;
                 let raw = shared.mem.read(addr, size);
                 (ready, dst(exec::extend_load(op, raw)))
             }
@@ -574,7 +570,7 @@ impl RingSim {
                 shared.mem.write(addr, size, lanes.value(rs2));
                 let ready =
                     self.simt_mem(stage, addr, size, true, start, memlane, store_floor, shared);
-                self.stats.counters.inc(Counter::Stores);
+                self.stats.activity.stores += 1;
                 (ready, None)
             }
             ExecKind::LoadFp { rs1, offset } => {
@@ -585,7 +581,7 @@ impl RingSim {
                 mem_addr = Some(addr);
                 let ready =
                     self.simt_mem(stage, addr, 4, false, start, memlane, store_floor, shared);
-                self.stats.counters.inc(Counter::Loads);
+                self.stats.activity.loads += 1;
                 (ready, dst(shared.mem.read_u32(addr)))
             }
             ExecKind::StoreFp { rs1, rs2, offset } => {
@@ -597,7 +593,7 @@ impl RingSim {
                 shared.mem.write_u32(addr, lanes.value(rs2));
                 let ready =
                     self.simt_mem(stage, addr, 4, true, start, memlane, store_floor, shared);
-                self.stats.counters.inc(Counter::Stores);
+                self.stats.activity.stores += 1;
                 (ready, None)
             }
             ExecKind::FpOp { op, rs1, rs2 } => (
@@ -687,7 +683,7 @@ impl RingSim {
             };
             let line = addr & !63;
             if !forward && self.clusters[stage].line_buf_hit(line) {
-                self.stats.counters.inc(Counter::MemlaneHits);
+                self.stats.activity.memlane_hits += 1;
                 return want + 1;
             }
             let (issue, waited, id) = self.clusters[stage].lsu.issue_blocking_traced(
@@ -699,7 +695,7 @@ impl RingSim {
             );
             self.stall(Track::Lsu(unit), StallCause::Memory, issue, waited);
             let ready = if forward {
-                self.stats.counters.inc(Counter::MemlaneHits);
+                self.stats.activity.memlane_hits += 1;
                 issue + 1
             } else {
                 let out =

@@ -786,10 +786,12 @@ impl SourceSet {
 
     /// Iterates over the source lanes.
     pub fn iter(&self) -> impl Iterator<Item = ArchReg> + '_ {
+        // `push` fills `regs` in order and counts `len` with it, so the
+        // first `len` slots are all `Some`.
         self.regs
             .iter()
             .take(self.len as usize)
-            .map(|r| r.expect("within len"))
+            .map(|r| r.expect("within len")) // lint: allow(unwrap)
     }
 }
 

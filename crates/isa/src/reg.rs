@@ -333,7 +333,7 @@ impl fmt::Display for ArchReg {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self.as_int() {
             Some(r) => r.fmt(f),
-            None => self.as_fp().expect("lane is int or fp").fmt(f),
+            None => FReg(self.0 - NUM_INT_REGS as u8).fmt(f),
         }
     }
 }

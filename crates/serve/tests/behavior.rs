@@ -1,12 +1,15 @@
 //! Server behaviour: cache coalescing on warm submissions, bounded
 //! admission with deterministic rejects, cancellation, drain-time
-//! refusals, and deficit-round-robin fairness under a flooding client.
+//! refusals, deficit-round-robin fairness under a flooding client, and
+//! `diag-load` bursts whose metrics expositions stay self-consistent.
 
+use std::collections::BTreeMap;
+use std::process::{Command, Output};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 use diag_pipeline::Session;
-use diag_serve::{Client, ServeConfig, Server, ServerHandle, Submit};
+use diag_serve::{Client, Frame, ServeConfig, Server, ServerHandle, Submit};
 use diag_trace::json::Value;
 
 fn spawn(workers: usize, capacity: usize) -> ServerHandle {
@@ -380,4 +383,170 @@ fn flooding_client_cannot_starve_a_small_one() {
     small.send_verb("shutdown").expect("shutdown");
     let _ = small.recv().expect("read");
     handle.join().expect("clean server exit");
+}
+
+/// Runs `diag-load` against `addr` with `args`.
+fn diag_load(addr: &str, args: &[&str]) -> Output {
+    Command::new(env!("CARGO_BIN_EXE_diag-load"))
+        .args(["--addr", addr])
+        .args(args)
+        .output()
+        .expect("run diag-load")
+}
+
+/// Scrapes one `metrics` frame on a fresh connection.
+fn scrape(addr: &str) -> Frame {
+    let mut client = Client::connect(addr).expect("connect");
+    client.send_verb("metrics").expect("metrics");
+    let frame = client.recv().expect("read").expect("metrics frame");
+    assert_eq!(frame.kind(), "metrics", "{}", frame.raw);
+    frame
+}
+
+/// Reads a metrics frame the way a Prometheus scraper would, and holds
+/// its text exposition to its JSON twin: every `# TYPE` line is well
+/// formed, cumulative buckets never decrease, each histogram closes
+/// with an `le="+Inf"` bucket equal to its `_count` and its JSON count,
+/// and the text counters equal the JSON counters.
+fn check_exposition(frame: &Frame) {
+    let text = frame.metrics_text().expect("text exposition");
+    let doc = frame.metrics_json().expect("JSON exposition");
+    assert_eq!(
+        doc.get("schema").and_then(Value::as_str),
+        Some("diag-telemetry-v1")
+    );
+    let is_name = |s: &str| {
+        s.starts_with(|c: char| c.is_ascii_alphabetic() || c == '_')
+            && s.chars().all(|c| c.is_ascii_alphanumeric() || c == '_')
+    };
+    let mut kind = "";
+    let mut counters = BTreeMap::new();
+    let mut samples = BTreeMap::new();
+    let mut cumulative: BTreeMap<String, u64> = BTreeMap::new();
+    let mut infs = BTreeMap::new();
+    for line in text.lines() {
+        if line.starts_with('#') {
+            let parts: Vec<&str> = line.split(' ').collect();
+            match parts[..] {
+                ["#", "TYPE", name, k @ ("counter" | "gauge" | "histogram")] if is_name(name) => {
+                    kind = k
+                }
+                _ => panic!("bad TYPE line: {line:?}"),
+            }
+            continue;
+        }
+        let (key, value) = line
+            .rsplit_once(' ')
+            .unwrap_or_else(|| panic!("unparsable sample line: {line:?}"));
+        let value: u64 = value
+            .parse()
+            .unwrap_or_else(|_| panic!("non-integer sample: {line:?}"));
+        let (name, labels) = match key.split_once('{') {
+            Some((name, rest)) => (
+                name,
+                rest.strip_suffix('}')
+                    .unwrap_or_else(|| panic!("unclosed labels: {line:?}")),
+            ),
+            None => (key, ""),
+        };
+        assert!(is_name(name), "bad metric name: {line:?}");
+        if let Some(family) = name.strip_suffix("_bucket") {
+            let (rest, le) = labels
+                .rsplit_once("le=\"")
+                .unwrap_or_else(|| panic!("bucket without le: {line:?}"));
+            let rest = rest.trim_end_matches(',');
+            let series = if rest.is_empty() {
+                family.to_string()
+            } else {
+                format!("{family}{{{rest}}}")
+            };
+            let before = cumulative.insert(series.clone(), value).unwrap_or(0);
+            assert!(value >= before, "non-monotone bucket: {line:?}");
+            if le == "+Inf\"" {
+                infs.insert(series, value);
+            }
+        } else {
+            if kind == "counter" {
+                counters.insert(key.to_string(), value);
+            }
+            samples.insert(key.to_string(), value);
+        }
+    }
+    let section = |name: &str| doc.get(name).and_then(Value::as_obj).expect(name);
+    let num = |v: Option<&Value>| v.and_then(Value::as_num).expect("number") as u64;
+    let json_counters: BTreeMap<String, u64> = section("counters")
+        .iter()
+        .map(|(k, v)| (k.clone(), num(Some(v))))
+        .collect();
+    assert_eq!(counters, json_counters, "text and JSON counters disagree");
+    let json_counts: BTreeMap<String, u64> = section("histograms")
+        .iter()
+        .map(|(k, h)| (k.clone(), num(h.get("count"))))
+        .collect();
+    assert_eq!(infs, json_counts, "+Inf buckets disagree with JSON counts");
+    for (key, count) in &json_counts {
+        let count_key = match key.split_once('{') {
+            Some((name, labels)) => format!("{name}_count{{{labels}"),
+            None => format!("{key}_count"),
+        };
+        assert_eq!(samples.get(&count_key), Some(count), "{count_key}");
+    }
+}
+
+/// A fixed-seed closed-loop `diag-load` burst.
+const BURST: [&str; 8] = [
+    "--conns",
+    "4",
+    "--inflight",
+    "8",
+    "--requests",
+    "32",
+    "--seed",
+    "7",
+];
+
+/// Asks the server at `addr` to drain through `diag-load --shutdown`
+/// and waits for it to exit.
+fn shutdown_with_diag_load(addr: &str, handle: ServerHandle) {
+    let out = diag_load(addr, &["--shutdown"]);
+    assert!(out.status.success(), "{out:?}");
+    handle.join().expect("clean server exit");
+}
+
+#[test]
+fn load_bursts_turn_warm_and_keep_expositions_consistent() {
+    let handle = spawn(4, 1024);
+    let addr = handle.addr().to_string();
+    for warm in [false, true] {
+        let mut args = BURST.to_vec();
+        if warm {
+            // The identical burst again: every run must now come from
+            // the shared session's run memo, with zero builds.
+            args.push("--expect-warm");
+        }
+        let out = diag_load(&addr, &args);
+        assert!(
+            out.status.success(),
+            "diag-load {args:?}: {}{}",
+            String::from_utf8_lossy(&out.stdout),
+            String::from_utf8_lossy(&out.stderr)
+        );
+        check_exposition(&scrape(&addr));
+    }
+    shutdown_with_diag_load(&addr, handle);
+}
+
+#[test]
+fn expect_warm_fails_on_a_cold_server() {
+    let handle = spawn(4, 1024);
+    let addr = handle.addr().to_string();
+    let mut args = BURST.to_vec();
+    args.push("--expect-warm");
+    let out = diag_load(&addr, &args);
+    assert!(
+        !out.status.success(),
+        "--expect-warm on a server that simulated nothing must fail: {}",
+        String::from_utf8_lossy(&out.stdout)
+    );
+    shutdown_with_diag_load(&addr, handle);
 }

@@ -29,7 +29,7 @@ pub use diag_profile::{
     Bucket, Profile, ProfileCollector, ProfileMeta, Profiler, RegionSample, RegionStation,
     RetireSample, SharedCollector,
 };
-pub use diag_trace::{Counter, Counters, Tracer};
+pub use diag_trace::Tracer;
 
 /// Default cycle limit for simulation runs, generous enough for every
 /// workload in the workspace while still catching runaway programs.

@@ -10,8 +10,6 @@
 use std::fmt;
 use std::ops::{Add, AddAssign};
 
-use diag_trace::{Counter, Counters};
-
 // The stall-cause taxonomy is shared with the trace subsystem's
 // stall-begin/end events (it lives in `diag-trace`, the bottom of the
 // workspace dependency graph); re-exported here so existing
@@ -158,48 +156,6 @@ pub struct Activity {
     pub l2_accesses: u64,
     /// L2 misses (DRAM accesses).
     pub l2_misses: u64,
-}
-
-impl From<&Counters> for Activity {
-    /// Folds a `diag-trace` counter bank into the public activity
-    /// aggregate. This is the single place the two vocabularies are
-    /// zipped; a unit test asserts the mapping is exhaustive and
-    /// value-preserving.
-    fn from(c: &Counters) -> Activity {
-        Activity {
-            busy_cycles: c.get(Counter::BusyCycles),
-            pe_active_cycles: c.get(Counter::PeActiveCycles),
-            pe_resident_cycles: c.get(Counter::PeResidentCycles),
-            fpu_active_cycles: c.get(Counter::FpuActiveCycles),
-            int_ops: c.get(Counter::IntOps),
-            fp_ops: c.get(Counter::FpOps),
-            loads: c.get(Counter::Loads),
-            stores: c.get(Counter::Stores),
-            reg_writes: c.get(Counter::RegWrites),
-            lane_transports: c.get(Counter::LaneTransports),
-            memlane_hits: c.get(Counter::MemlaneHits),
-            bus_beats: c.get(Counter::BusBeats),
-            line_fetches: c.get(Counter::LineFetches),
-            decodes: c.get(Counter::Decodes),
-            reuse_commits: c.get(Counter::ReuseCommits),
-            renames: c.get(Counter::Renames),
-            dispatches: c.get(Counter::Dispatches),
-            issues: c.get(Counter::Issues),
-            rob_writes: c.get(Counter::RobWrites),
-            bpred_lookups: c.get(Counter::BpredLookups),
-            mispredicts: c.get(Counter::Mispredicts),
-            l1d_accesses: c.get(Counter::L1dAccesses),
-            l1d_misses: c.get(Counter::L1dMisses),
-            l2_accesses: c.get(Counter::L2Accesses),
-            l2_misses: c.get(Counter::L2Misses),
-        }
-    }
-}
-
-impl From<Counters> for Activity {
-    fn from(c: Counters) -> Activity {
-        Activity::from(&c)
-    }
 }
 
 macro_rules! sum_fields {
@@ -383,63 +339,6 @@ mod tests {
     fn display_is_nonempty() {
         let text = RunStats::default().to_string();
         assert!(text.contains("cycles"));
-    }
-
-    #[test]
-    fn counter_bank_maps_exhaustively_onto_activity() {
-        // Give every counter a distinct value; the converted Activity
-        // must (a) place each value on the right field (spot-checked)
-        // and (b) conserve the grand total, which fails if any counter
-        // were dropped or double-mapped.
-        let mut bank = Counters::new();
-        for (i, c) in Counter::ALL.iter().enumerate() {
-            bank.add(*c, (i + 1) as u64);
-        }
-        let a = Activity::from(&bank);
-        assert_eq!(a.busy_cycles, 1);
-        assert_eq!(a.lane_transports, bank.get(Counter::LaneTransports));
-        assert_eq!(a.mispredicts, bank.get(Counter::Mispredicts));
-        assert_eq!(a.l2_misses, bank.get(Counter::L2Misses));
-        let field_sum = (a + Activity::default()).into_iter_sum_for_test();
-        assert_eq!(field_sum, bank.total());
-    }
-
-    impl Activity {
-        /// Test-only: sum of every field, via the same macro list used
-        /// by `Add` so a new field cannot be silently forgotten.
-        fn into_iter_sum_for_test(self) -> u64 {
-            let doubled = self + self;
-            // (a + a) sums to 2×total; the difference catches any field
-            // the macro list misses.
-            let z = Activity::default();
-            let single = self + z;
-            assert_eq!(doubled.busy_cycles, 2 * single.busy_cycles);
-            single.busy_cycles
-                + single.pe_active_cycles
-                + single.pe_resident_cycles
-                + single.fpu_active_cycles
-                + single.int_ops
-                + single.fp_ops
-                + single.loads
-                + single.stores
-                + single.reg_writes
-                + single.lane_transports
-                + single.memlane_hits
-                + single.bus_beats
-                + single.line_fetches
-                + single.decodes
-                + single.reuse_commits
-                + single.renames
-                + single.dispatches
-                + single.issues
-                + single.rob_writes
-                + single.bpred_lookups
-                + single.mispredicts
-                + single.l1d_accesses
-                + single.l1d_misses
-                + single.l2_accesses
-                + single.l2_misses
-        }
     }
 
     #[test]

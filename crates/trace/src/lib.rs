@@ -2,7 +2,7 @@
 //!
 //! The evaluation of the paper (§7.3) hinges on *attribution*: knowing
 //! which cycles went to PE compute, lane transport, memory, or control.
-//! End-of-run aggregates ([`Counters`] feeding `diag_sim::RunStats`) answer
+//! End-of-run aggregates (`diag_sim::RunStats`) answer
 //! "how much"; this crate additionally answers "when and where" with a
 //! structured, cycle-level event stream that every machine model in the
 //! workspace emits through the same plumbing:
@@ -23,10 +23,7 @@
 //! * exporters: Chrome/Perfetto trace-event JSON ([`perfetto`]), a
 //!   windowed text utilization heatmap ([`heatmap`]), and a
 //!   stall-attribution timeline ([`timeline`]) whose per-cause totals
-//!   reconcile *exactly* with the `StallBreakdown` a run reports;
-//! * a counter registry ([`Counter`] / [`Counters`]) that supersedes
-//!   ad-hoc per-model activity fields while feeding the existing
-//!   `RunStats` unchanged.
+//!   reconcile *exactly* with the `StallBreakdown` a run reports.
 //!
 //! The crate is dependency-free and sits below `diag-sim` in the
 //! workspace graph, so every layer (memory system, DiAG core, baselines,
@@ -54,7 +51,6 @@
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
 
-mod counters;
 mod event;
 pub mod heatmap;
 pub mod json;
@@ -62,6 +58,5 @@ pub mod perfetto;
 mod sink;
 pub mod timeline;
 
-pub use counters::{Counter, Counters, COUNTER_COUNT};
 pub use event::{Event, EventKind, StallCause, Track};
 pub use sink::{JsonlSink, NullSink, RingSink, SharedSink, TraceSink, Tracer, VecSink};

@@ -190,9 +190,13 @@ pub fn validate_chrome_trace(text: &str) -> Result<TraceSummary, String> {
             .get("ph")
             .and_then(Value::as_str)
             .ok_or_else(|| format!("traceEvents[{i}] missing ph"))?;
-        obj.get("name")
+        let name = obj
+            .get("name")
             .and_then(Value::as_str)
             .ok_or_else(|| format!("traceEvents[{i}] missing name"))?;
+        if name.is_empty() {
+            return Err(format!("traceEvents[{i}] has an empty name"));
+        }
         for key in ["ts", "pid", "tid"] {
             let n = obj
                 .get(key)
@@ -335,5 +339,9 @@ mod tests {
             "{\"traceEvents\":[{\"name\":\"a\",\"ph\":\"X\",\"ts\":0,\"pid\":0,\"tid\":0}]}"
         )
         .is_err()); // X without dur
+        assert!(validate_chrome_trace(
+            "{\"traceEvents\":[{\"name\":\"\",\"ph\":\"i\",\"ts\":0,\"pid\":0,\"tid\":0}]}"
+        )
+        .is_err()); // empty name
     }
 }

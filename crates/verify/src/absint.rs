@@ -329,16 +329,12 @@ pub fn block_out_states(
     mut state: AbsState,
 ) -> Vec<(usize, AbsState)> {
     let block = &cfg.blocks[b];
-    if block.insts.is_empty() {
+    let Some((&(last_pc, ref last), body)) = block.insts.split_last() else {
         return Vec::new();
-    }
-    for &(pc, ref inst) in &block.insts[..block.insts.len() - 1] {
+    };
+    for &(pc, ref inst) in body {
         transfer_inst(program, pc, inst, &mut state);
     }
-    let &(last_pc, ref last) = block
-        .insts
-        .last()
-        .expect("non-empty block has a terminator");
 
     let mut out: Vec<(usize, AbsState)> = Vec::new();
     let push = |target: u32, st: AbsState, out: &mut Vec<(usize, AbsState)>| {

@@ -129,10 +129,8 @@ pub(crate) fn inst_facts(
     }
 
     match inst {
-        Inst::Branch { .. } | Inst::Jal { .. } => {
-            let target = inst
-                .static_target(pc)
-                .expect("branch/jal has a static target");
+        Inst::Branch { offset, .. } | Inst::Jal { offset, .. } => {
+            let target = pc.wrapping_add(*offset as u32);
             let (verdict, detail) = if program.contains_text_addr(target) {
                 (Verdict::Proved, format!("target {target:#x} is in text"))
             } else {

@@ -19,7 +19,9 @@ use diag_asm::Program;
 use diag_baseline::{InOrder, O3Config, OooCpu};
 use diag_core::{Diag, DiagConfig};
 use diag_sim::{Machine, ObservationLog, Observer, SharedObservations};
-use diag_verify::{check_loop_counts, check_observations, verify, Verdict, VerifyOptions};
+use diag_verify::{
+    check_loop_counts, check_observations, json_report, verify, Verdict, VerifyOptions,
+};
 use diag_workloads::Params;
 
 /// Runs `program` to completion on `machine` with the observer attached
@@ -156,6 +158,41 @@ fn completing_programs_are_never_refuted() {
                 params.simt,
                 refuted
             );
+        }
+    }
+}
+
+/// The JSON report is what the artifact cache stores and serves on warm
+/// runs, so independent verifications must render it byte for byte, and
+/// every line of it must parse.
+#[test]
+fn corpus_reports_are_byte_deterministic_and_parse() {
+    for spec in diag_workloads::all() {
+        for params in shapes() {
+            if params.simt && !spec.simt_capable {
+                continue;
+            }
+            let built = spec
+                .build(&params)
+                .unwrap_or_else(|e| panic!("{}: build failed: {e}", spec.name));
+            let opts = VerifyOptions {
+                threads: params.threads,
+                trap_vector: None,
+            };
+            let label = format!(
+                "{} (threads={}, simt={})",
+                spec.name, params.threads, params.simt
+            );
+            let a = json_report(spec.name, &verify(&built.program, &opts));
+            let b = json_report(spec.name, &verify(&built.program, &opts));
+            assert_eq!(
+                a, b,
+                "{label}: independent verifications rendered differently"
+            );
+            for line in a.lines() {
+                diag_trace::json::parse(line)
+                    .unwrap_or_else(|e| panic!("{label}: report is not JSON: {e}"));
+            }
         }
     }
 }

@@ -1,53 +1,31 @@
 //! A source lint the toolchain cannot express: `unwrap()` / `expect()`
-//! are forbidden in the simulator's non-test code.
+//! are forbidden in the workspace's non-test code.
 //!
-//! The machines (`crates/core`, `crates/sim`) are library code driven by
-//! arbitrary guest programs — a panic there takes down a whole sweep and
-//! masks the `SimError` that should have been reported. The artifact
-//! store (`crates/pipeline`) and the server (`crates/serve`) are shared
-//! by many concurrent requests — a panic there poisons locks or drops a
-//! connection instead of producing an error frame. The harness
-//! (`crates/bench`) and energy models (`crates/power`) back every
-//! figure and the autotuner — a panic there aborts a sweep that the
-//! runner's error taxonomy should have survived. The observability
-//! stack (`crates/trace`, `crates/profile`, `crates/telemetry`) is
-//! attached to live runs precisely to explain them — a panic inside a
-//! tracer, profiler, or metrics hook destroys the run it was observing.
-//! The memory system (`crates/mem`) sits on every simulated load and
-//! store of all three machines — a panic there aborts the run instead
-//! of reporting it. The baselines (`crates/baseline`) are machines like
-//! DiAG, held to the same rule.
+//! Every crate is library code driven by inputs it does not control:
+//! guest programs (the machines and the memory system), concurrent
+//! requests (the artifact store and the server), arbitrary assembly
+//! (the assembler, the analyzer and the verifier), and live runs (the
+//! tracer, profiler and metrics hooks). A panic there takes down a
+//! whole sweep, poisons a lock, drops a connection or destroys the run
+//! it was observing, and masks the typed error that should have been
+//! reported.
 //! Clippy's `unwrap_used` lint cannot be adopted piecemeal without
 //! attribute noise at every test module, so this is a small,
 //! dependency-free scanner with the policy hard-coded:
 //!
-//! - only `crates/core/src`, `crates/sim/src`, `crates/mem/src`,
-//!   `crates/pipeline/src`, `crates/serve/src`, `crates/bench/src`,
-//!   `crates/power/src`, `crates/trace/src`, `crates/profile/src`,
-//!   `crates/telemetry/src`, and `crates/baseline/src` are in scope;
+//! - every `crates/*/src` directory and the root package's `src/` are in
+//!   scope;
 //! - `#[cfg(test)]` items (and everything nested inside them) are
-//!   exempt;
+//!   exempt, and so are comments and string and char literals;
 //! - a deliberate use is allowed by writing `// lint: allow(unwrap)` on
 //!   the same line or the line above, where the reviewer expects a
 //!   justification.
+//!
+//! The `workspace_is_clean` test runs the lint over this workspace, so
+//! `cargo test` fails on any offense.
 
-use std::path::Path;
+use std::path::{Path, PathBuf};
 use std::process::ExitCode;
-
-/// Directories scanned, relative to the workspace root.
-const SCOPE: &[&str] = &[
-    "crates/core/src",
-    "crates/sim/src",
-    "crates/mem/src",
-    "crates/pipeline/src",
-    "crates/serve/src",
-    "crates/bench/src",
-    "crates/power/src",
-    "crates/trace/src",
-    "crates/profile/src",
-    "crates/telemetry/src",
-    "crates/baseline/src",
-];
 
 /// The escape-hatch marker.
 const ALLOW: &str = "lint: allow(unwrap)";
@@ -62,37 +40,16 @@ struct Offense {
 /// Runs the lint over `root`. Prints every offense; empty output and a
 /// success exit mean the tree is clean.
 pub fn run(root: &Path) -> ExitCode {
-    let mut offenses = Vec::new();
-    let mut files = 0usize;
-    for dir in SCOPE {
-        let dir = root.join(dir);
-        let mut paths = Vec::new();
-        collect_rs_files(&dir, &mut paths);
-        paths.sort();
-        for path in paths {
-            files += 1;
-            let text = match std::fs::read_to_string(&path) {
-                Ok(t) => t,
-                Err(e) => {
-                    eprintln!("xtask lint: cannot read {}: {e}", path.display());
-                    return ExitCode::FAILURE;
-                }
-            };
-            let rel = path
-                .strip_prefix(root)
-                .unwrap_or(&path)
-                .display()
-                .to_string();
-            scan_file(&rel, &text, &mut offenses);
+    let (files, offenses) = match scan_tree(root) {
+        Ok(found) => found,
+        Err(e) => {
+            eprintln!("xtask lint: {e}");
+            return ExitCode::FAILURE;
         }
-    }
-    if files == 0 {
-        eprintln!("xtask lint: found no source files under {SCOPE:?} — wrong root?");
-        return ExitCode::FAILURE;
-    }
+    };
     for o in &offenses {
         println!(
-            "{}:{}: `{}` in non-test simulator code (return a SimError or \
+            "{}:{}: `{}` in non-test code (return a typed error or \
              justify with `// {ALLOW}`)",
             o.path, o.line, o.what
         );
@@ -104,6 +61,48 @@ pub fn run(root: &Path) -> ExitCode {
         println!("xtask lint: {} offense(s)", offenses.len());
         ExitCode::FAILURE
     }
+}
+
+/// The source directories in scope: the root package's `src/` and every
+/// `crates/*/src`, sorted.
+fn scope(root: &Path) -> Vec<PathBuf> {
+    let mut dirs = vec![root.join("src")];
+    if let Ok(entries) = std::fs::read_dir(root.join("crates")) {
+        let mut crates: Vec<PathBuf> = entries.flatten().map(|e| e.path().join("src")).collect();
+        crates.sort();
+        dirs.extend(crates.into_iter().filter(|d| d.is_dir()));
+    }
+    dirs
+}
+
+/// Scans every `.rs` file in [`scope`], returning the number of files
+/// read and the offenses found in them.
+fn scan_tree(root: &Path) -> Result<(usize, Vec<Offense>), String> {
+    let mut offenses = Vec::new();
+    let mut files = 0usize;
+    for dir in scope(root) {
+        let mut paths = Vec::new();
+        collect_rs_files(&dir, &mut paths);
+        paths.sort();
+        for path in paths {
+            files += 1;
+            let text = std::fs::read_to_string(&path)
+                .map_err(|e| format!("cannot read {}: {e}", path.display()))?;
+            let rel = path
+                .strip_prefix(root)
+                .unwrap_or(&path)
+                .display()
+                .to_string();
+            scan_file(&rel, &text, &mut offenses);
+        }
+    }
+    if files == 0 {
+        return Err(format!(
+            "found no source files under {} — wrong root?",
+            root.display()
+        ));
+    }
+    Ok((files, offenses))
 }
 
 /// Recursively collects `.rs` files under `dir`.
@@ -133,19 +132,17 @@ fn scan_file(path: &str, text: &str, out: &mut Vec<Offense>) {
     let mut prev_line_allows = false;
 
     for (idx, raw) in text.lines().enumerate() {
-        let trimmed = raw.trim_start();
         let allows = raw.contains(ALLOW);
-        // Comment-only lines contribute neither braces nor calls (doc
-        // comments routinely show `.unwrap()` in examples — those are
-        // compiled by rustdoc as test code anyway).
-        if trimmed.starts_with("//") {
-            prev_line_allows = allows;
-            continue;
+        // Comments contribute neither braces nor calls (doc comments
+        // routinely show `.unwrap()` in examples — those are compiled by
+        // rustdoc as test code anyway). Literals are emptied first, so a
+        // `//` inside a string does not start a comment.
+        let stripped = strip_literals(raw);
+        let code = match stripped.find("//") {
+            Some(i) => &stripped[..i],
+            None => &stripped,
         }
-        let code = match trimmed.find("//") {
-            Some(i) => &trimmed[..i],
-            None => trimmed,
-        };
+        .trim_start();
 
         if test_until.is_none() {
             if code.starts_with("#[cfg(test)]") {
@@ -190,8 +187,23 @@ fn scan_file(path: &str, text: &str, out: &mut Vec<Offense>) {
 /// cancel out; the literal cases that are not, like `'{'` or
 /// `r#"{"k":1}"#`, must not skew the count).
 fn brace_delta(code: &str) -> i64 {
+    strip_literals(code)
+        .chars()
+        .map(|c| match c {
+            '{' => 1,
+            '}' => -1,
+            _ => 0,
+        })
+        .sum()
+}
+
+/// `code` with the contents of its string, raw-string and char literals
+/// removed (the quotes stay), so that neither braces nor call text
+/// inside a literal (`'{'`, `r#"{"k":1}"#`, `".unwrap()"`) reads as
+/// code. A literal left open at the end of the line runs to its end.
+fn strip_literals(code: &str) -> String {
     let chars: Vec<char> = code.chars().collect();
-    let mut delta = 0i64;
+    let mut out = String::with_capacity(code.len());
     let mut i = 0;
     while i < chars.len() {
         match chars[i] {
@@ -206,6 +218,7 @@ fn brace_delta(code: &str) -> i64 {
                         _ => i += 1,
                     }
                 }
+                out.push_str("\"\"");
             }
             'r' if i == 0 || (!chars[i - 1].is_alphanumeric() && chars[i - 1] != '_') => {
                 // Possible raw string `r#*"…"#*`: skip to the closing
@@ -228,28 +241,34 @@ fn brace_delta(code: &str) -> i64 {
                         j += 1;
                     }
                     i = j;
+                    out.push_str("r\"\"");
+                } else {
+                    out.push('r');
                 }
             }
             // A lifetime tick (`&'a`) is followed by an identifier and
-            // no closing quote; only treat `'` as a char literal when
-            // the quote closes within two characters (`'x'`, `'\\n'`).
+            // no closing quote. A quote opens a char literal when it
+            // closes right after one character (`'x'`) or after an
+            // escape (`'\\n'`, `'\\u{7b}'`).
             '\'' => {
-                let (skip, is_char) = match chars.get(i + 1) {
-                    Some('\\') => (3, true),
-                    Some(_) => (2, chars.get(i + 2) == Some(&'\'')),
-                    None => (0, false),
+                let close = match chars.get(i + 1) {
+                    Some('\\') => (i + 3..chars.len()).find(|&k| chars[k] == '\''),
+                    Some(_) if chars.get(i + 2) == Some(&'\'') => Some(i + 2),
+                    _ => None,
                 };
-                if is_char {
-                    i += skip;
+                match close {
+                    Some(k) => {
+                        i = k;
+                        out.push_str("''");
+                    }
+                    None => out.push('\''),
                 }
             }
-            '{' => delta += 1,
-            '}' => delta -= 1,
-            _ => {}
+            c => out.push(c),
         }
         i += 1;
     }
-    delta
+    out
 }
 
 #[cfg(test)]
@@ -295,6 +314,12 @@ mod tests {
     }
 
     #[test]
+    fn call_text_inside_literals_is_not_flagged() {
+        let text = "fn f() {\n    if code.contains(\".unwrap()\") {}\n    let s = r#\"x.expect(\"#;\n    let u = \"http://h\"; y.unwrap();\n}\n";
+        assert_eq!(offenses(text), vec![4]);
+    }
+
+    #[test]
     fn raw_string_braces_do_not_derail_block_tracking() {
         // JSON-heavy tests write raw strings like r#"{"verb":"x"}"# —
         // their unbalanced-looking braces must not end the cfg(test)
@@ -315,5 +340,23 @@ mod tests {
         // An identifier ending in `r` before a string is not a raw
         // string prefix.
         assert_eq!(brace_delta("var\"}\""), 0);
+        assert_eq!(brace_delta("let c = '\\u{7b}'; {"), 1);
+        assert_eq!(brace_delta("fn f<'a>(x: &'a str) {"), 1);
+    }
+
+    #[test]
+    fn workspace_is_clean() {
+        let (files, offenses) =
+            scan_tree(&crate::workspace_root()).expect("workspace sources are readable");
+        let report: Vec<String> = offenses
+            .iter()
+            .map(|o| format!("{}:{}: `{}`", o.path, o.line, o.what))
+            .collect();
+        assert!(
+            report.is_empty(),
+            "{} offense(s) in {files} files:\n{}",
+            report.len(),
+            report.join("\n")
+        );
     }
 }

@@ -1,5 +1,6 @@
 //! Workspace automation (`cargo xtask` pattern). Dependency-free on
-//! purpose: these tasks run in CI before anything else is trusted.
+//! purpose. `cargo test` runs the lint over the workspace as well
+//! (`lint::tests::workspace_is_clean`).
 //!
 //! ```text
 //! cargo run -p xtask -- lint
@@ -13,7 +14,7 @@ mod lint;
 const USAGE: &str = "usage: cargo run -p xtask -- <task>
 
 tasks:
-  lint    forbid unwrap()/expect() in simulator non-test code
+  lint    forbid unwrap()/expect() in non-test code of every crate
           (escape hatch: `// lint: allow(unwrap)` on the same or the
           preceding line, with a justification)";
 
@@ -34,9 +35,10 @@ fn main() -> ExitCode {
 
 /// The workspace root: xtask always lives at `<root>/crates/xtask`.
 fn workspace_root() -> PathBuf {
-    Path::new(env!("CARGO_MANIFEST_DIR"))
+    let manifest = Path::new(env!("CARGO_MANIFEST_DIR"));
+    manifest
         .ancestors()
         .nth(2)
-        .expect("crates/xtask has a workspace root two levels up")
+        .unwrap_or(manifest)
         .to_path_buf()
 }

@@ -151,13 +151,20 @@ fn traced_runs_are_byte_deterministic() {
 
 #[test]
 fn perfetto_export_is_schema_valid() {
-    let spec = diag_workloads::find("srad").expect("bundled");
-    for kind in machines() {
+    // srad on every machine, plus the harness defaults for one Rodinia
+    // and one SPEC workload (`trace hotspot`, `trace mcf --machine ooo`).
+    let mut runs: Vec<(&str, MachineSpec)> = machines().into_iter().map(|k| ("srad", k)).collect();
+    runs.push(("hotspot", MachineSpec::parse("diag").expect("spec")));
+    runs.push(("mcf", MachineSpec::parse("ooo").expect("spec")));
+    for (name, kind) in runs {
+        let spec = diag_workloads::find(name).expect("bundled");
+        let label = format!("{name} on {}", kind.label());
         let (_, events) = traced_run(&kind, &spec, &Params::tiny());
         let text = perfetto::export(&events);
         let summary = perfetto::validate_chrome_trace(&text)
-            .unwrap_or_else(|e| panic!("srad on {}: invalid trace: {e}", kind.label()));
-        assert!(summary.events > 0, "srad on {}: empty trace", kind.label());
-        assert!(summary.slices > 0, "srad on {}: no slices", kind.label());
+            .unwrap_or_else(|e| panic!("{label}: invalid trace: {e}"));
+        assert!(summary.events > 0, "{label}: empty trace");
+        assert!(summary.slices > 0, "{label}: no slices");
+        assert!(summary.metadata > 0, "{label}: no track names");
     }
 }
