@@ -1,52 +1,60 @@
 //! Model-behaviour pin: a digest of every `RunStats` field for all 18
-//! kernels at tiny scale on six machine shapes, each run on a fresh
+//! kernels at tiny scale on eight machine shapes, each run on a fresh
 //! machine. Host-side optimizations of the step loop and the memory
 //! system must leave every value bit-identical; a deliberate model
 //! change re-pins the table below and says so.
 //!
 //! The shapes cover DiAG's preset (`diag:f4c32`), the configuration
 //! without an L2 (`diag:i4c2`), a tuning-grid point with a narrower ring
-//! and a shallower LSU, a two-ring multithreaded run, and both baselines.
+//! and a shallower LSU, a two-ring multithreaded run, both baselines, and
+//! the pipelined SIMT engine (§4.4, §5.4) behind the SIMT columns of
+//! Figs 9b, 10b and 12: the SIMT binary on one ring and on eight
+//! four-cluster rings. A kernel without SIMT regions builds its plain
+//! binary, so its first SIMT column equals the first column.
 
 use diag_bench::runner::{build_machine, run_built, MachineSpec};
 use diag_pipeline::Session;
 use diag_sim::RunStats;
 use diag_workloads::Params;
 
-/// `(machine spec, hardware threads)` per column of [`GOLDEN`].
-const MACHINES: &[(&str, usize)] = &[
-    ("diag:f4c32", 1),
-    ("diag:i4c2", 1),
+/// `(machine spec, hardware threads, SIMT binary)` per column of
+/// [`GOLDEN`].
+const MACHINES: &[(&str, usize, bool)] = &[
+    ("diag:f4c32", 1, false),
+    ("diag:i4c2", 1, false),
     (
         "diag:f4c32+clusters=8,lane_buffer_interval=16,lsu_depth=4",
         1,
+        false,
     ),
-    ("diag:f4c32", 2),
-    ("ooo:12", 1),
-    ("inorder", 1),
+    ("diag:f4c32", 2, false),
+    ("ooo:12", 1, false),
+    ("inorder", 1, false),
+    ("diag:f4c32", 1, true),
+    ("diag:f4c32+ring_clusters=4", 8, true),
 ];
 
 /// One row per kernel: its name, then one FNV-1a digest per column of
 /// [`MACHINES`].
 const GOLDEN: &str = "\
-backprop df3faaf4950a2a1c e23f9d833895b899 6ca73dd11c0e1787 01dcaf4732d727c7 6e68db7a82a905f5 cf4322cbcdcf6735
-bfs ca2e4fbd30e0933c b11f0004dfc811e4 d41d2bb44162afe1 096d18cdc60582bf cbfeba2777dc1fbc f8845be6a4d6b68a
-hotspot ae165403da9b4abc 2e99f3e7cefffa5c 036ae031cd07ffa7 1719852782efa1d9 f35be6844ef90c9a 7dd5a874cf0513be
-kmeans ffd90c3dd74838b7 380ae65f8881da80 78834974e2c094f0 23176bbbf626f3d4 12f45ce5c71475b5 07ba066f66073fd3
-lud 7a77603e1c81aa8d 495eb0c2ca80fa1a 8fd8fb337457e8d4 42bd1c8249da1410 a58c361f121b6bee a93141d2d50cb7b2
-nn aa7d55f2c8148123 4f06c9b869c52f31 77937371e45848b7 201a245647a5bd3c 44a8cc501569b9fd 76aa48b8528fa072
-nw 55c4b3992a277eb9 1979a4ae7d380002 b4d8e608e2440305 4e6964ff0da4f4a8 b523a04b4fe22958 10796a5c1913b8a8
-pathfinder dcc32901157cfa25 e0929610f2f7ad82 5026596bb09ad6a7 c974d3b87d2950e0 0847b654c2e3f237 5a86a8e05227c6c1
-srad 8dc88bbd978118bb 136b5c546c6e7a01 b241911b733ad1e8 23d57a772eee5f44 28699314a58d0db5 7887f6974bdc5b12
-streamcluster 150b60bfed8bdc6a 1e4e8b94023ef2d8 556f38ef5e199e10 557a4b0325d4a166 7e026df25c973877 b219c135a3464f37
-deepsjeng 23a36a7da6645e3d cf2f2258f3c6cfe3 b25e2da9da088718 8a795c2ff864c405 bcd6cb0424feee53 af13cb49d46a26c3
-imagick bf4dd9c793a78c12 4b7c1d0c7b90b0cd 78a105c6eb396256 12bb53d06c7d3d62 233f9ee413c8454c 56f254ed5b9aaa3b
-lbm ac6ad5abc0dfd511 cb367d6fc9b9a833 4969ce6f6b6ae563 8d7480a3163e35fa 67ab8f09a2f94c37 e513403de190ce44
-leela 5adb73c4bf35ba25 cab9cd727bc887dc f899d1dcd403e7eb 05dbd96dab28e7d3 7771b2974b17d4db 4ce67e75143fc19f
-mcf cc4069aa597a93fe 3b84cd9eae56ffe8 c4db5d296b917f28 c32cc4dd60c3ab29 cd36381131042f8d 43d6a41204548e45
-namd 38aad7b970aabfcc 23f6adf4292051ab 9f649ff90d8b3380 2d53e45b4fa09db6 ff7f4d911864f90c cff909259a465023
-x264 bd1b524c8e057585 8b8ba6677d7c48a7 f63d2808044fa2aa 4875fe5ca0b9ed94 0334cc204c918179 1846716c53bda9f3
-xz 90652129174d22a3 2afbe954870c2fd6 6b0a1e8773a0c3f6 8a7d355f19bd00f7 bf2536717d00ace1 25d75799ceed52fd
+backprop df3faaf4950a2a1c e23f9d833895b899 6ca73dd11c0e1787 01dcaf4732d727c7 6e68db7a82a905f5 cf4322cbcdcf6735 73099c35a5d64422 ebe8c7273d3d0d97
+bfs ca2e4fbd30e0933c b11f0004dfc811e4 d41d2bb44162afe1 096d18cdc60582bf cbfeba2777dc1fbc f8845be6a4d6b68a ca2e4fbd30e0933c ab82d881e08502e9
+hotspot ae165403da9b4abc 2e99f3e7cefffa5c 036ae031cd07ffa7 1719852782efa1d9 f35be6844ef90c9a 7dd5a874cf0513be 92d773ea5314fa30 1701562cc7059a7d
+kmeans ffd90c3dd74838b7 380ae65f8881da80 78834974e2c094f0 23176bbbf626f3d4 12f45ce5c71475b5 07ba066f66073fd3 e737f5a272a8baac b70f155d274845c6
+lud 7a77603e1c81aa8d 495eb0c2ca80fa1a 8fd8fb337457e8d4 42bd1c8249da1410 a58c361f121b6bee a93141d2d50cb7b2 7a77603e1c81aa8d ae0dd17732497b9a
+nn aa7d55f2c8148123 4f06c9b869c52f31 77937371e45848b7 201a245647a5bd3c 44a8cc501569b9fd 76aa48b8528fa072 7a82fb5fd25f45c1 a56677e9f3feb397
+nw 55c4b3992a277eb9 1979a4ae7d380002 b4d8e608e2440305 4e6964ff0da4f4a8 b523a04b4fe22958 10796a5c1913b8a8 55c4b3992a277eb9 4bcb3709fa4ea31d
+pathfinder dcc32901157cfa25 e0929610f2f7ad82 5026596bb09ad6a7 c974d3b87d2950e0 0847b654c2e3f237 5a86a8e05227c6c1 0875848d9746f3c3 6fd85fea16a68daf
+srad 8dc88bbd978118bb 136b5c546c6e7a01 b241911b733ad1e8 23d57a772eee5f44 28699314a58d0db5 7887f6974bdc5b12 1a59c7a8b32bb4c3 f768f2cb7c9ecdd4
+streamcluster 150b60bfed8bdc6a 1e4e8b94023ef2d8 556f38ef5e199e10 557a4b0325d4a166 7e026df25c973877 b219c135a3464f37 c176c1818f6059cb b5874f5f5a131fbb
+deepsjeng 23a36a7da6645e3d cf2f2258f3c6cfe3 b25e2da9da088718 8a795c2ff864c405 bcd6cb0424feee53 af13cb49d46a26c3 b3520de1e7da71f4 af6d16918a9b3fe8
+imagick bf4dd9c793a78c12 4b7c1d0c7b90b0cd 78a105c6eb396256 12bb53d06c7d3d62 233f9ee413c8454c 56f254ed5b9aaa3b b5d896dc661cff84 f816334493b1742c
+lbm ac6ad5abc0dfd511 cb367d6fc9b9a833 4969ce6f6b6ae563 8d7480a3163e35fa 67ab8f09a2f94c37 e513403de190ce44 69d902e47e0b6710 fb31963aa47d357b
+leela 5adb73c4bf35ba25 cab9cd727bc887dc f899d1dcd403e7eb 05dbd96dab28e7d3 7771b2974b17d4db 4ce67e75143fc19f 5adb73c4bf35ba25 4fd72e58580d0ec6
+mcf cc4069aa597a93fe 3b84cd9eae56ffe8 c4db5d296b917f28 c32cc4dd60c3ab29 cd36381131042f8d 43d6a41204548e45 cc4069aa597a93fe 657e60608e7f793f
+namd 38aad7b970aabfcc 23f6adf4292051ab 9f649ff90d8b3380 2d53e45b4fa09db6 ff7f4d911864f90c cff909259a465023 778b41475ef7e363 a4a462a3afe28f9e
+x264 bd1b524c8e057585 8b8ba6677d7c48a7 f63d2808044fa2aa 4875fe5ca0b9ed94 0334cc204c918179 1846716c53bda9f3 e0554e400d6692e7 ba53b2a36fd2d4da
+xz 90652129174d22a3 2afbe954870c2fd6 6b0a1e8773a0c3f6 8a7d355f19bd00f7 bf2536717d00ace1 25d75799ceed52fd 90652129174d22a3 8273901895dcf4d0
 ";
 
 /// FNV-1a 64 over every `RunStats` field, in declaration order.
@@ -98,17 +106,19 @@ fn digest(s: &RunStats) -> String {
 #[test]
 fn run_stats_match_the_pinned_digests() {
     let session = Session::in_memory();
-    let machines: Vec<(MachineSpec, usize)> = MACHINES
+    let machines: Vec<(MachineSpec, Params)> = MACHINES
         .iter()
-        .map(|&(text, threads)| (MachineSpec::parse(text).expect("valid spec"), threads))
+        .map(|&(text, threads, simt)| {
+            let params = Params::tiny().with_threads(threads).with_simt(simt);
+            (MachineSpec::parse(text).expect("valid spec"), params)
+        })
         .collect();
     let mut table = String::new();
     for spec in diag_workloads::all() {
         table.push_str(spec.name);
-        for (machine_spec, threads) in &machines {
-            let params = Params::tiny().with_threads(*threads);
+        for (machine_spec, params) in &machines {
             let mut machine = build_machine(machine_spec);
-            let stats = run_built(&session, machine_spec, &spec, &params, machine.as_mut())
+            let stats = run_built(&session, machine_spec, &spec, params, machine.as_mut())
                 .unwrap_or_else(|e| panic!("{} on {}: {e}", spec.name, machine_spec.label()));
             table.push(' ');
             table.push_str(&digest(&stats));
