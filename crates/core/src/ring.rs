@@ -143,9 +143,7 @@ pub struct RingSim {
     pub(crate) seg_inflight: Vec<Vec<u64>>,
     pub(crate) thread_id: usize,
     /// The machine's probes, cloned once at wave launch so the per-step
-    /// hot loop performs no `Rc` refcount traffic. A commit log forces
-    /// SIMT regions onto the sequential marker path, so the logged stream
-    /// matches the architectural reference retirement for retirement.
+    /// hot loop performs no `Rc` refcount traffic.
     pub(crate) probes: Probes,
     /// Validated-SIMT-region cache keyed by the `simt_s` address. Region
     /// well-formedness is a static property of the program text, so each
@@ -632,12 +630,9 @@ impl RingSim {
         // declining.
         let mut resident = self.resident.get(line);
 
-        // Commit logging forces the sequential marker path: pipelined
-        // SIMT retires whole regions in bulk, which cannot be diffed
-        // retirement-for-retirement against the reference. The peek comes
-        // from the resident station when available; only a cold miss on a
-        // region entry consults the decoder.
-        if self.config.enable_simt && !self.probes.logs_commits() {
+        // The peek comes from the resident station when available; only a
+        // cold miss on a region entry consults the decoder.
+        if self.config.enable_simt {
             let peeked = match resident {
                 Some(c) => {
                     let slot_in = ((pc - line) / INST_BYTES) as usize;

@@ -116,12 +116,13 @@ impl RingSim {
             });
         }
 
-        // Pipelined execution is now committed. The observer sees the same
-        // architectural stream the sequential marker path would retire:
-        // simt_s once per region entry (rc passes through unchanged) …
+        // Pipelined execution is now committed. The commit log and the
+        // observer see the same architectural stream the sequential marker
+        // path would retire: simt_s once per region entry (rc passes
+        // through unchanged) …
+        let thread = self.thread_id as u32;
         self.probes
-            .observer()
-            .retire(pc_s, Some((rc.into(), rc0 as u32)), None);
+            .retire_arch(thread, pc_s, Some((rc.into(), rc0 as u32)), None);
 
         // Spawn time: simt_s needs its operands and a loaded first stage.
         let entry_slot = self.stage_slot(0, pc_s, &region);
@@ -143,7 +144,6 @@ impl RingSim {
         let mut end_time = t0;
         let final_lanes: LaneFile;
 
-        let thread = self.thread_id as u32;
         let mut i: u64 = 0;
         loop {
             let rc_i = rc0.wrapping_add((i as i32).wrapping_mul(step));
@@ -180,8 +180,7 @@ impl RingSim {
             let rc_next = rc_i.wrapping_add(step);
             // … and simt_e once per instance, writing the advanced rc.
             self.probes
-                .observer()
-                .retire(region.pc_e, Some((rc.into(), rc_next as u32)), None);
+                .retire_arch(thread, region.pc_e, Some((rc.into(), rc_next as u32)), None);
             let done = rc_next >= end;
             if done {
                 lanes.set_value(rc.into(), rc_next as u32);
@@ -627,7 +626,8 @@ impl RingSim {
                 });
             }
         };
-        self.probes.observer().retire(pc, out.1, mem_addr);
+        self.probes
+            .retire_arch(self.thread_id as u32, pc, out.1, mem_addr);
         Ok(out)
     }
 

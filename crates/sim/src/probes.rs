@@ -11,12 +11,15 @@
 //! [`Probes::retire`] call, which hands one [`Retirement`] record to every
 //! attached consumer.
 //!
+//! A pipelined SIMT region (paper §4.4) has no per-instruction timing
+//! record, so its retirements go through [`Probes::retire_arch`] to the
+//! two architectural consumers only, the commit log and the observer, in
+//! the sequential loop's order; the profiler gets one bulk
+//! [`diag_profile::RegionSample`] through [`Probes::profiler`].
+//!
 //! The non-retirement hooks stay with their consumer: trace events go
 //! through [`Probes::emit`] (or [`Probes::tracer`] for the memory system's
-//! `*_traced` calls), stall attribution through [`Probes::stall`], and
-//! pipelined SIMT regions report per-instance observations and a bulk
-//! [`diag_profile::RegionSample`] through [`Probes::observer`] and
-//! [`Probes::profiler`].
+//! `*_traced` calls), and stall attribution through [`Probes::stall`].
 
 use std::cell::RefCell;
 use std::rc::Rc;
@@ -122,16 +125,6 @@ impl Probes {
         &self.profiler
     }
 
-    /// The observer, for SIMT per-instance observations.
-    pub fn observer(&self) -> &Observer {
-        &self.observer
-    }
-
-    /// Whether retirements are being logged.
-    pub fn logs_commits(&self) -> bool {
-        self.commits.is_some()
-    }
-
     /// Drains the logged retirements (empty when the log is off).
     pub fn take_commits(&self) -> Vec<Commit> {
         self.commits
@@ -196,14 +189,7 @@ impl Probes {
     /// registers rather than through a stack copy.
     #[inline(always)]
     pub fn retire(&self, r: &Retirement) {
-        if let Some(log) = &self.commits {
-            log.borrow_mut().push(Commit {
-                thread: r.thread,
-                pc: r.pc,
-                dest: r.dest.filter(|(lane, _)| !lane.is_zero()),
-            });
-        }
-        self.observer.retire(r.pc, r.dest, r.addr);
+        self.retire_arch(r.thread, r.pc, r.dest, r.addr);
         let (cluster, slot) = r.pe.unwrap_or((0, 0));
         self.profiler.retire(|| RetireSample {
             pc: r.pc,
@@ -225,6 +211,28 @@ impl Probes {
                 finish: r.finish,
             },
         });
+    }
+
+    /// Hands one retirement to the architectural consumers only: the
+    /// commit log (which drops `x0` writes) and the observer. The
+    /// pipelined SIMT engine reports through this, since its instances
+    /// carry no per-instruction timing for the profiler or tracer.
+    #[inline(always)]
+    pub fn retire_arch(
+        &self,
+        thread: u32,
+        pc: u32,
+        dest: Option<(ArchReg, u32)>,
+        addr: Option<u32>,
+    ) {
+        if let Some(log) = &self.commits {
+            log.borrow_mut().push(Commit {
+                thread,
+                pc,
+                dest: dest.filter(|(lane, _)| !lane.is_zero()),
+            });
+        }
+        self.observer.retire(pc, dest, addr);
     }
 }
 

@@ -5,7 +5,7 @@
 //! job counts.
 
 use diag::baseline::{InOrder, O3Config, OooCpu};
-use diag::bench::runner::MachineSpec;
+use diag::bench::runner::{build_machine, MachineSpec};
 use diag::bench::sweep::Sweep;
 use diag::core::{Diag, DiagConfig};
 use diag::sim::{
@@ -77,30 +77,70 @@ fn step_before_load_errors() {
     }
 }
 
-/// DiAG and the out-of-order baseline both agree with the in-order
-/// reference retirement-for-retirement on a real kernel.
+/// Every machine agrees with the in-order reference retirement for
+/// retirement across the workload matrix: all 18 kernels at tiny scale,
+/// at one and four threads, plain and SIMT binaries, on two DiAG shapes
+/// and a one-core out-of-order baseline, plus the figures' eight-thread
+/// SIMT shape. DiAG keeps pipelining SIMT regions under the commit log,
+/// so the matrix also counts the DiAG SIMT runs that really pipelined
+/// (their `committed` differs from the same run with `simt=0`) and holds
+/// that count to a floor: a change that makes regions fall back to the
+/// sequential marker path cannot pass silently.
 #[test]
 fn lockstep_agrees_on_rodinia_kernel() {
-    let spec = find("bfs").expect("registered workload");
-    let built = spec.build(&Params::tiny()).expect("build");
-    for mut left in [
-        Box::new(Diag::new(DiagConfig::f4c2())) as Box<dyn Machine>,
-        Box::new(OooCpu::new(O3Config::aggressive_8wide(), 1)),
-    ] {
-        let name = left.name();
-        let mut reference = InOrder::new();
-        let outcome = run_lockstep(left.as_mut(), &mut reference, &built.program, 1, u64::MAX)
-            .unwrap_or_else(|e| panic!("{name}: lockstep run failed: {e}"));
-        match outcome {
-            LockstepOutcome::Agree { commits } => {
-                assert!(
-                    commits > 100,
-                    "{name}: suspiciously short stream ({commits})"
-                );
+    let shapes: [(usize, bool, &[&str]); 5] = [
+        (1, false, &["diag:f4c32", "diag:f4c2", "ooo:1"]),
+        (4, false, &["diag:f4c32", "diag:f4c2", "ooo:1"]),
+        (1, true, &["diag:f4c32", "diag:f4c2", "ooo:1"]),
+        (4, true, &["diag:f4c32", "diag:f4c2", "ooo:1"]),
+        (8, true, &["diag:f4c32+ring_clusters=4"]),
+    ];
+    let mut pipelined = 0;
+    for spec in diag::workloads::all() {
+        for (threads, simt, machines) in shapes {
+            let params = Params::tiny().with_threads(threads).with_simt(simt);
+            let built = spec.build(&params).expect("build");
+            for text in machines {
+                let label = format!("{} on {text}, {threads} threads, simt {simt}", spec.name);
+                let machine_spec = MachineSpec::parse(text).expect("valid spec");
+                let mut left = build_machine(&machine_spec);
+                let mut reference = InOrder::new();
+                let outcome = run_lockstep(
+                    left.as_mut(),
+                    &mut reference,
+                    &built.program,
+                    threads,
+                    u64::MAX,
+                )
+                .unwrap_or_else(|e| panic!("{label}: lockstep run failed: {e}"));
+                match outcome {
+                    LockstepOutcome::Agree { commits } => {
+                        assert!(
+                            commits > 100,
+                            "{label}: suspiciously short stream ({commits})"
+                        );
+                    }
+                    LockstepOutcome::Diverged(d) => panic!("{label}: {d}"),
+                }
+                if let (true, MachineSpec::Diag(cfg)) = (simt, &machine_spec) {
+                    let mut sequential = Diag::new(DiagConfig {
+                        enable_simt: false,
+                        ..cfg.clone()
+                    });
+                    let sequential = sequential
+                        .run(&built.program, threads)
+                        .unwrap_or_else(|e| panic!("{label} with simt=0: {e}"));
+                    if left.stats().committed != sequential.committed {
+                        pipelined += 1;
+                    }
+                }
             }
-            LockstepOutcome::Diverged(d) => panic!("{name}: {d}"),
         }
     }
+    assert!(
+        pipelined >= 30,
+        "only {pipelined} DiAG SIMT runs pipelined; regions are falling back"
+    );
 }
 
 /// A machine that delegates to the in-order reference but corrupts the
