@@ -19,20 +19,31 @@ use std::rc::Rc;
 use std::sync::Arc;
 
 use diag_asm::Program;
-use diag_isa::{decode, exec, ArchReg, ExecKind, Inst, Reg, Station, StationSlot, INST_BYTES};
+use diag_isa::{decode, ArchReg, ExecKind, FuKind, Inst, Reg, Station, StationSlot, INST_BYTES};
 use diag_mem::{LaneLookup, MemLane, REGFILE_BEATS};
+use diag_sim::interp::{evaluate, MemEffect};
 use diag_sim::{Activity, Bucket, Probes, Retirement, SimError, StallBreakdown};
 use diag_trace::{Event, EventKind, StallCause, Track};
 
 use crate::cluster::Cluster;
-
-/// Data-line granularity of the cluster line buffers (64-byte lines).
-fn shared_line_mask() -> u32 {
-    63
-}
 use crate::config::DiagConfig;
 use crate::lane::{CommitTracker, LaneFile, LaneGeometry};
 use crate::shared::SharedParts;
+
+/// Line size of the cluster line buffers (§5.2).
+const DATA_LINE_BYTES: u32 = 64;
+
+/// When a PE accepts its next dynamic instance after starting one at
+/// `start`: pipelined units every cycle (the buffered lane segments
+/// pipeline the value flow), unpipelined dividers after their full latency
+/// (§5.1.2's FDIV concern). A memory PE of the sequential ring frees
+/// instead once the LSU accepted its request.
+pub(crate) fn reissue_at(st: &Station, start: u64) -> u64 {
+    match st.fu {
+        FuKind::IntDiv | FuKind::FpDiv => start + st.latency as u64,
+        _ => start + 1,
+    }
+}
 
 /// Per-ring statistics merged into the machine's [`diag_sim::RunStats`].
 #[derive(Debug, Clone, Copy, Default)]
@@ -479,26 +490,33 @@ impl RingSim {
         self.redirect_pending = true;
     }
 
-    /// Issues one memory access through the cluster's LSU and the memory
-    /// lanes; returns `(issue_time, data_ready_time)`. Stores issue in
-    /// order among themselves; loads reorder freely except around
-    /// overlapping buffered stores (the memory lanes "enable access
-    /// reordering", §5.2). The PE frees once the request is handed to the
-    /// LSU queue (the queue depth bounds how many iterations' accesses
-    /// overlap under reuse).
-    fn issue_mem(
+    /// Issues one memory access through cluster `cluster`'s LSU and memory
+    /// lane `lane`; returns `(issue_time, data_ready_time)`. Stores issue
+    /// in order among themselves, after `store_floor`, which they advance;
+    /// loads issue after `fence_floor` and reorder freely except around
+    /// overlapping stores buffered in `lane` (the memory lanes "enable
+    /// access reordering", §5.2). The sequential ring passes its own lane
+    /// and floors; a SIMT instance passes its scratch lane, its own store
+    /// floor and no fence floor.
+    #[allow(clippy::too_many_arguments)]
+    pub(crate) fn mem_access(
         &mut self,
         cluster: usize,
         addr: u32,
         size: u32,
         write: bool,
         start: u64,
+        lane: &mut MemLane,
+        store_floor: &mut u64,
+        fence_floor: u64,
         shared: &mut SharedParts,
     ) -> (u64, u64) {
         let thread = self.thread_id as u32;
         let unit = cluster as u32;
+        let line = addr & !(DATA_LINE_BYTES - 1);
         if write {
-            let want = start.max(self.mem_floor);
+            self.stats.activity.stores += 1;
+            let want = start.max(*store_floor);
             let (issue, waited, id) = self.clusters[cluster].lsu.issue_blocking_traced(
                 want,
                 true,
@@ -507,14 +525,14 @@ impl RingSim {
                 unit,
             );
             self.stall(Track::Lsu(unit), StallCause::Memory, issue, waited);
-            self.mem_floor = issue;
-            self.memlane.push_store(addr, size, 0, issue);
-            self.memlane.trim();
+            *store_floor = issue;
+            lane.push_store(addr, size, 0, issue);
+            lane.trim();
             let out = shared
                 .l1d
                 .access_traced(addr, true, issue, self.probes.tracer(), thread);
             self.count_cache(&out);
-            self.clusters[cluster].line_buf_fill(addr & !(shared_line_mask()));
+            self.clusters[cluster].line_buf_fill(line);
             let ready = issue + 1;
             self.clusters[cluster].lsu.complete_at_traced(
                 ready,
@@ -525,19 +543,19 @@ impl RingSim {
             );
             (issue, ready)
         } else {
-            let (want, forward) = match self.memlane.lookup(addr, size) {
+            self.stats.activity.loads += 1;
+            let (want, forward) = match lane.lookup(addr, size) {
                 LaneLookup::HitFast { store_time, .. } => {
-                    (start.max(self.fence_floor).max(store_time), true)
+                    (start.max(fence_floor).max(store_time), true)
                 }
                 LaneLookup::HitSlow { store_time, .. } | LaneLookup::Conflict { store_time } => {
-                    (start.max(self.fence_floor).max(store_time + 1), false)
+                    (start.max(fence_floor).max(store_time + 1), false)
                 }
-                LaneLookup::Miss => (start.max(self.fence_floor), false),
+                LaneLookup::Miss => (start.max(fence_floor), false),
             };
             // Cluster-level line buffer (§5.2): a load to the previously
             // accessed line is served locally without consuming the LSU
             // queue or an L1D port.
-            let line = addr & !(shared_line_mask());
             if !forward && self.clusters[cluster].line_buf_hit(line) {
                 self.stats.activity.memlane_hits += 1;
                 return (want, want + 1);
@@ -582,7 +600,7 @@ impl RingSim {
         }
     }
 
-    pub(crate) fn count_cache(&mut self, out: &diag_mem::MemOutcome) {
+    fn count_cache(&mut self, out: &diag_mem::MemOutcome) {
         self.stats.activity.l1d_accesses += 1;
         if !out.l1_hit {
             self.stats.activity.l1d_misses += 1;
@@ -591,6 +609,21 @@ impl RingSim {
                 self.stats.activity.l2_misses += 1;
             }
         }
+    }
+
+    /// Counts one execution of `st` from `start` to `finish` in the
+    /// activity bank; returns the PE's active cycles.
+    pub(crate) fn count_exec(&mut self, st: &Station, start: u64, finish: u64) -> u64 {
+        let cycles = (finish - start).max(1);
+        let a = &mut self.stats.activity;
+        a.pe_active_cycles += cycles;
+        if st.uses_fpu {
+            a.fpu_active_cycles += cycles;
+            a.fp_ops += 1;
+        } else if !st.is_mem {
+            a.int_ops += 1;
+        }
+        cycles
     }
 
     /// Executes one dynamic instruction (or one whole SIMT region when it
@@ -707,199 +740,54 @@ impl RingSim {
             kind: EventKind::PeIssue { pc, reused },
         });
 
-        let mut next_pc = pc.wrapping_add(INST_BYTES);
-        let mut lane_write: Option<(ArchReg, u32)> = None;
-        let mut mem_addr: Option<u32> = None;
-        let mut slot_release: Option<u64> = None;
-        let finish: u64;
-
-        match st.kind {
-            ExecKind::Const { value } => {
-                finish = start + 1;
-                lane_write = st.dest.map(|d| (d, value));
-            }
-            ExecKind::AluImm { op, rs1, imm } => {
-                finish = start + st.latency as u64;
-                let v = exec::alu(op, self.lanes.value(rs1), imm);
-                lane_write = st.dest.map(|d| (d, v));
-            }
-            ExecKind::Alu { op, rs1, rs2 } => {
-                finish = start + st.latency as u64;
-                let v = exec::alu(op, self.lanes.value(rs1), self.lanes.value(rs2));
-                lane_write = st.dest.map(|d| (d, v));
-            }
-            ExecKind::Jal { target, link } => {
-                finish = start + 1;
-                lane_write = st.dest.map(|d| (d, link));
-                next_pc = target;
-                self.redirect(next_pc, finish, slot, shared);
-            }
-            ExecKind::Jalr { rs1, offset, link } => {
-                finish = start + 1;
-                let target = self.lanes.value(rs1).wrapping_add(offset as u32) & !1;
-                lane_write = st.dest.map(|d| (d, link));
-                next_pc = target;
-                self.redirect(next_pc, finish, slot, shared);
-            }
-            ExecKind::Branch {
-                op,
-                rs1,
-                rs2,
-                target,
-            } => {
-                finish = start + 1;
-                let taken = exec::branch_taken(op, self.lanes.value(rs1), self.lanes.value(rs2));
-                if taken {
-                    next_pc = target;
-                    self.redirect(next_pc, finish, slot, shared);
-                }
-            }
-            ExecKind::Load { op, rs1, offset } => {
-                let addr = self.lanes.value(rs1).wrapping_add(offset as u32);
-                let size = op.size();
-                if !addr.is_multiple_of(size) {
-                    return Err(SimError::Misaligned { addr, size });
-                }
-                mem_addr = Some(addr);
-                let (issue, ready) = self.issue_mem(cluster, addr, size, false, start, shared);
-                slot_release = Some(issue + 1);
-                finish = ready;
-                let raw = shared.mem.read(addr, size);
-                lane_write = st.dest.map(|d| (d, exec::extend_load(op, raw)));
-                self.stats.activity.loads += 1;
-            }
-            ExecKind::Store {
-                op,
-                rs1,
-                rs2,
-                offset,
-            } => {
-                let addr = self.lanes.value(rs1).wrapping_add(offset as u32);
-                let size = op.size();
-                if !addr.is_multiple_of(size) {
-                    return Err(SimError::Misaligned { addr, size });
-                }
-                mem_addr = Some(addr);
-                let value = self.lanes.value(rs2);
-                shared.mem.write(addr, size, value);
-                let (issue, ready) = self.issue_mem(cluster, addr, size, true, start, shared);
-                slot_release = Some(issue + 1);
-                finish = ready;
-                self.stats.activity.stores += 1;
-            }
-            ExecKind::LoadFp { rs1, offset } => {
-                let addr = self.lanes.value(rs1).wrapping_add(offset as u32);
-                if !addr.is_multiple_of(4) {
-                    return Err(SimError::Misaligned { addr, size: 4 });
-                }
-                mem_addr = Some(addr);
-                let (issue, ready) = self.issue_mem(cluster, addr, 4, false, start, shared);
-                slot_release = Some(issue + 1);
-                finish = ready;
-                lane_write = st.dest.map(|d| (d, shared.mem.read_u32(addr)));
-                self.stats.activity.loads += 1;
-            }
-            ExecKind::StoreFp { rs1, rs2, offset } => {
-                let addr = self.lanes.value(rs1).wrapping_add(offset as u32);
-                if !addr.is_multiple_of(4) {
-                    return Err(SimError::Misaligned { addr, size: 4 });
-                }
-                mem_addr = Some(addr);
-                shared.mem.write_u32(addr, self.lanes.value(rs2));
-                let (issue, ready) = self.issue_mem(cluster, addr, 4, true, start, shared);
-                slot_release = Some(issue + 1);
-                finish = ready;
-                self.stats.activity.stores += 1;
-            }
-            ExecKind::FpOp { op, rs1, rs2 } => {
-                finish = start + st.latency as u64;
-                let v = exec::fp_op(op, self.lanes.value(rs1), self.lanes.value(rs2));
-                lane_write = st.dest.map(|d| (d, v));
-            }
-            ExecKind::FpFma { op, rs1, rs2, rs3 } => {
-                finish = start + st.latency as u64;
-                let v = exec::fp_fma(
-                    op,
-                    self.lanes.value(rs1),
-                    self.lanes.value(rs2),
-                    self.lanes.value(rs3),
+        let eff = evaluate(
+            &st,
+            pc,
+            |lane| self.lanes.value(lane),
+            &mut shared.mem,
+            self.config.trap_vector,
+            |a| self.program.decode_at(a),
+        )?;
+        // The ring's timing: a memory station waits on its cluster's LSU
+        // and frees its PE once the LSU accepted the request; any other
+        // station finishes after its unit's latency. A taken control
+        // transfer, including a precise trap (§5.1.4), redirects the PC
+        // lane: older instructions have committed (program-order engine)
+        // and younger PEs are disabled by the PC mismatch.
+        let (finish, slot_free) = match eff.mem {
+            MemEffect::None => (start + st.latency as u64, reissue_at(&st, start)),
+            MemEffect::Load { addr, size } | MemEffect::Store { addr, size } => {
+                let write = matches!(eff.mem, MemEffect::Store { .. });
+                let mut lane = std::mem::replace(&mut self.memlane, MemLane::new(0));
+                let mut store_floor = self.mem_floor;
+                let (issue, ready) = self.mem_access(
+                    cluster,
+                    addr,
+                    size,
+                    write,
+                    start,
+                    &mut lane,
+                    &mut store_floor,
+                    self.fence_floor,
+                    shared,
                 );
-                lane_write = st.dest.map(|d| (d, v));
+                self.memlane = lane;
+                self.mem_floor = store_floor;
+                (ready, issue + 1)
             }
-            ExecKind::FpCmp { op, rs1, rs2 } => {
-                finish = start + st.latency as u64;
-                let v = exec::fp_cmp(op, self.lanes.value(rs1), self.lanes.value(rs2));
-                lane_write = st.dest.map(|d| (d, v));
-            }
-            ExecKind::FpToInt { op, rs1 } => {
-                finish = start + st.latency as u64;
-                lane_write = st
-                    .dest
-                    .map(|d| (d, exec::fp_to_int(op, self.lanes.value(rs1))));
-            }
-            ExecKind::IntToFp { op, rs1 } => {
-                finish = start + st.latency as u64;
-                lane_write = st
-                    .dest
-                    .map(|d| (d, exec::int_to_fp(op, self.lanes.value(rs1))));
-            }
-            ExecKind::Fence => {
-                // Serialize the memory stream.
-                finish = start + 1;
-                self.mem_floor = self.mem_floor.max(finish);
-                self.fence_floor = self.fence_floor.max(finish);
-            }
-            ExecKind::Ecall => {
-                finish = start + 1;
-                self.halted = true;
-            }
-            ExecKind::Ebreak => {
-                finish = start + 1;
-                match self.config.trap_vector {
-                    Some(vector) => {
-                        // Precise trap (§5.1.4): older instructions have
-                        // committed (program-order engine), younger PEs are
-                        // disabled by the PC-lane mismatch.
-                        next_pc = vector;
-                        self.redirect(vector, finish, slot, shared);
-                    }
-                    None => self.halted = true,
-                }
-            }
-            ExecKind::SimtS { rc } => {
-                // Sequential marker semantics: rc passes through unchanged.
-                finish = start + 1;
-                lane_write = Some((rc, self.lanes.value(rc)));
-            }
-            ExecKind::SimtE {
-                rc,
-                r_end,
-                start_pc,
-                step,
-            } => {
-                finish = start + 1;
-                let step = match step {
-                    Some(r_step) => self.lanes.value(r_step),
-                    None => {
-                        let other = self.program.decode_at(start_pc);
-                        return Err(SimError::InvalidSimtRegion {
-                            reason: format!(
-                                "simt_e at {pc:#x} points to {other:?} at {start_pc:#x}, not simt_s"
-                            ),
-                        });
-                    }
-                };
-                let rc_new = self.lanes.value(rc).wrapping_add(step);
-                lane_write = Some((rc, rc_new));
-                if (rc_new as i32) < (self.lanes.value(r_end) as i32) {
-                    next_pc = start_pc.wrapping_add(INST_BYTES);
-                    self.redirect(next_pc, finish, slot, shared);
-                }
-            }
+        };
+        if matches!(st.kind, ExecKind::Fence) {
+            // Serialize the memory stream.
+            self.mem_floor = self.mem_floor.max(finish);
+            self.fence_floor = self.fence_floor.max(finish);
+        }
+        self.halted = eff.halted;
+        if eff.redirected {
+            self.redirect(eff.next_pc, finish, slot, shared);
         }
 
         // Drive the destination lane and retire through the PC lane.
-        if let Some((lane, value)) = lane_write {
+        if let Some((lane, value)) = eff.dest {
             self.lanes.write(lane, value, finish, slot);
             if !lane.is_zero() {
                 self.stats.activity.reg_writes += 1;
@@ -913,14 +801,7 @@ impl RingSim {
                 });
             }
         }
-        let exec_cycles = finish - start;
-        self.stats.activity.pe_active_cycles += exec_cycles.max(1);
-        if st.uses_fpu {
-            self.stats.activity.fpu_active_cycles += exec_cycles.max(1);
-            self.stats.activity.fp_ops += 1;
-        } else if !st.is_mem {
-            self.stats.activity.int_ops += 1;
-        }
+        self.count_exec(&st, start, finish);
         let commit_t = self.commit.commit(finish);
         if self.probes.retiring() {
             // Partition this retirement's commit-clock delta: waiting
@@ -952,8 +833,8 @@ impl RingSim {
             self.probes.retire(&Retirement {
                 thread,
                 pc,
-                dest: lane_write,
-                addr: mem_addr,
+                dest: eff.dest,
+                addr: eff.mem.addr(),
                 pe: Some((cluster as u32, slot_in as u32)),
                 reused,
                 start,
@@ -971,16 +852,8 @@ impl RingSim {
             });
         }
         self.clusters[cluster].last_commit = self.clusters[cluster].last_commit.max(commit_t);
-        // A PE accepts its next dynamic instance once its unit can issue
-        // again: pipelined units every cycle (the buffered lane segments
-        // pipeline the value flow), unpipelined dividers after their full
-        // latency, memory PEs once the LSU accepted the request.
-        let occupancy = match st.fu {
-            diag_isa::FuKind::IntDiv | diag_isa::FuKind::FpDiv => finish,
-            _ => start + 1,
-        };
-        self.clusters[cluster].slot_busy[slot_in] = slot_release.unwrap_or(occupancy);
-        self.pc = next_pc;
+        self.clusters[cluster].slot_busy[slot_in] = slot_free;
+        self.pc = eff.next_pc;
         Ok(())
     }
 }

@@ -16,25 +16,15 @@
 
 use std::rc::Rc;
 
-use diag_isa::{exec, ArchReg, ExecKind, Inst, Reg, Station, INST_BYTES};
-use diag_mem::{LaneLookup, MemLane};
+use diag_isa::{ArchReg, Inst, Reg, Station, INST_BYTES};
+use diag_mem::MemLane;
+use diag_sim::interp::{evaluate, MemEffect};
 use diag_sim::{RegionSample, RegionStation, SimError};
 use diag_trace::{Event, EventKind, StallCause, Track};
 
 use crate::lane::LaneFile;
-use crate::ring::RingSim;
+use crate::ring::{reissue_at, RingSim};
 use crate::shared::SharedParts;
-
-/// Cycles a PE's functional unit is unavailable after accepting an
-/// instance: pipelined units re-issue every cycle; unpipelined dividers
-/// block for their full latency (§5.1.2's FDIV concern).
-fn occupancy(st: &Station) -> u64 {
-    use diag_isa::FuKind;
-    match st.fu {
-        FuKind::IntDiv | FuKind::FpDiv => st.latency as u64,
-        _ => 1,
-    }
-}
 
 /// A validated SIMT region description, cached per `simt_s` address.
 ///
@@ -404,10 +394,11 @@ impl RingSim {
     /// Runs one loop instance through the pipeline; returns its exit time
     /// (latest finish among its executed instructions).
     ///
-    /// Instances overlap freely: a PE accepts the next instance as soon as
-    /// its functional unit can issue again (pipelined units every cycle,
-    /// unpipelined dividers after their full latency; memory PEs after the
-    /// cluster LSU accepts the request). This realizes the paper's
+    /// Each station fires through the shared [`evaluate`]; only the timing
+    /// is the engine's. Instances overlap freely: a PE accepts the next
+    /// instance as soon as its functional unit can issue again
+    /// ([`reissue_at`]), and memory accesses queue in the stage cluster's
+    /// LSU through [`RingSim::mem_access`]. This realizes the paper's
     /// initiation model — "threads are only initiated once every
     /// `interval` cycles" (§5.4) with CPI → 1 per thread when nothing
     /// stalls (§4.4.1) — while cache misses back-pressure the pipeline
@@ -426,303 +417,74 @@ impl RingSim {
         shared: &mut SharedParts,
     ) -> Result<u64, SimError> {
         let line_bytes = self.config.line_bytes();
+        let thread = self.thread_id as u32;
         // Per-instance store-forwarding state, on the reused scratch lane
         // (cleared, not reallocated, between instances).
         let mut memlane = std::mem::replace(&mut self.simt_memlane, MemLane::new(0));
         let mut store_floor = spawn;
-        let mut exit = spawn;
         // The instance's private PC starts after simt_s; forward branches
         // move it, nullifying skipped PEs (§4.4.3).
         let mut inst_pc = region.pc_s.wrapping_add(INST_BYTES);
-
-        for (k, &(pc, st)) in region.body.iter().enumerate() {
-            if pc != inst_pc {
-                // Nullified by a taken forward branch: PE disabled.
-                continue;
-            }
-            inst_pc = inst_pc.wrapping_add(INST_BYTES);
-            let stage = (((pc & !(line_bytes - 1)) - region.lines[0]) / line_bytes) as usize;
-            let slot = self.stage_slot(stage, pc, region);
-            let mut start = spawn.max(stage_ready[stage]).max(slot_busy[k]);
-            for src in st.srcs.iter() {
-                start = start.max(lanes.ready_at(src, slot, &self.geom));
-            }
-            let result = self.eval_body_station(
-                &st,
-                pc,
-                start,
-                stage,
-                slot,
-                lanes,
-                &mut inst_pc,
-                &mut memlane,
-                &mut store_floor,
-                shared,
-            );
-            let (finish, write) = match result {
-                Ok(out) => out,
-                Err(e) => {
-                    memlane.clear();
-                    self.simt_memlane = memlane;
-                    return Err(e);
+        let exit = 'instance: {
+            let mut exit = spawn;
+            for (k, &(pc, st)) in region.body.iter().enumerate() {
+                if pc != inst_pc {
+                    // Nullified by a taken forward branch: PE disabled.
+                    continue;
                 }
-            };
-            slot_busy[k] = start + occupancy(&st);
-            if let Some((lane, value)) = write {
-                lanes.write(lane, value, finish, slot);
-                self.stats.activity.reg_writes += 1;
+                let stage = (((pc & !(line_bytes - 1)) - region.lines[0]) / line_bytes) as usize;
+                let slot = self.stage_slot(stage, pc, region);
+                let mut start = spawn.max(stage_ready[stage]).max(slot_busy[k]);
+                for src in st.srcs.iter() {
+                    start = start.max(lanes.ready_at(src, slot, &self.geom));
+                }
+                let eff = match evaluate(
+                    &st,
+                    pc,
+                    |lane| lanes.value(lane),
+                    &mut shared.mem,
+                    self.config.trap_vector,
+                    |a| self.program.decode_at(a),
+                ) {
+                    Ok(eff) => eff,
+                    Err(e) => break 'instance Err(e),
+                };
+                inst_pc = eff.next_pc;
+                let finish = match eff.mem {
+                    MemEffect::None => start + st.latency as u64,
+                    MemEffect::Load { addr, size } | MemEffect::Store { addr, size } => {
+                        let write = matches!(eff.mem, MemEffect::Store { .. });
+                        let (_, ready) = self.mem_access(
+                            stage,
+                            addr,
+                            size,
+                            write,
+                            start,
+                            &mut memlane,
+                            &mut store_floor,
+                            0,
+                            shared,
+                        );
+                        ready
+                    }
+                };
+                self.probes
+                    .retire_arch(thread, pc, eff.dest, eff.mem.addr());
+                slot_busy[k] = reissue_at(&st, start);
+                if let Some((lane, value)) = eff.dest {
+                    lanes.write(lane, value, finish, slot);
+                    self.stats.activity.reg_writes += 1;
+                }
+                let cycles = self.count_exec(&st, start, finish);
+                *commits += 1;
+                busy[k] += cycles;
+                execs[k] += 1;
+                exit = exit.max(finish);
             }
-            let cycles = (finish - start).max(1);
-            self.stats.activity.pe_active_cycles += cycles;
-            if st.uses_fpu {
-                self.stats.activity.fpu_active_cycles += cycles;
-                self.stats.activity.fp_ops += 1;
-            } else if !st.is_mem {
-                self.stats.activity.int_ops += 1;
-            }
-            *commits += 1;
-            busy[k] += cycles;
-            execs[k] += 1;
-            exit = exit.max(finish);
-        }
+            Ok(exit)
+        };
         memlane.clear();
         self.simt_memlane = memlane;
-        Ok(exit)
-    }
-
-    /// Evaluates one body station of a SIMT instance. Returns
-    /// `(finish_time, lane_write)`.
-    #[allow(clippy::too_many_arguments)]
-    fn eval_body_station(
-        &mut self,
-        st: &Station,
-        pc: u32,
-        start: u64,
-        stage: usize,
-        _slot: usize,
-        lanes: &LaneFile,
-        inst_pc: &mut u32,
-        memlane: &mut MemLane,
-        store_floor: &mut u64,
-        shared: &mut SharedParts,
-    ) -> Result<(u64, Option<(diag_isa::ArchReg, u32)>), SimError> {
-        let latency = st.latency as u64;
-        let dst = |value: u32| st.dest.map(|d| (d, value));
-        let mut mem_addr: Option<u32> = None;
-        let out = match st.kind {
-            ExecKind::Const { value } => (start + 1, dst(value)),
-            ExecKind::AluImm { op, rs1, imm } => {
-                (start + latency, dst(exec::alu(op, lanes.value(rs1), imm)))
-            }
-            ExecKind::Alu { op, rs1, rs2 } => (
-                start + latency,
-                dst(exec::alu(op, lanes.value(rs1), lanes.value(rs2))),
-            ),
-            ExecKind::Branch {
-                op,
-                rs1,
-                rs2,
-                target,
-            } => {
-                if exec::branch_taken(op, lanes.value(rs1), lanes.value(rs2)) {
-                    *inst_pc = target;
-                }
-                (start + 1, None)
-            }
-            ExecKind::Jal { target, link } => {
-                *inst_pc = target;
-                (start + 1, dst(link))
-            }
-            ExecKind::Load { op, rs1, offset } => {
-                let addr = lanes.value(rs1).wrapping_add(offset as u32);
-                let size = op.size();
-                if !addr.is_multiple_of(size) {
-                    return Err(SimError::Misaligned { addr, size });
-                }
-                mem_addr = Some(addr);
-                let ready = self.simt_mem(
-                    stage,
-                    addr,
-                    size,
-                    false,
-                    start,
-                    memlane,
-                    store_floor,
-                    shared,
-                );
-                self.stats.activity.loads += 1;
-                let raw = shared.mem.read(addr, size);
-                (ready, dst(exec::extend_load(op, raw)))
-            }
-            ExecKind::Store {
-                op,
-                rs1,
-                rs2,
-                offset,
-            } => {
-                let addr = lanes.value(rs1).wrapping_add(offset as u32);
-                let size = op.size();
-                if !addr.is_multiple_of(size) {
-                    return Err(SimError::Misaligned { addr, size });
-                }
-                mem_addr = Some(addr);
-                shared.mem.write(addr, size, lanes.value(rs2));
-                let ready =
-                    self.simt_mem(stage, addr, size, true, start, memlane, store_floor, shared);
-                self.stats.activity.stores += 1;
-                (ready, None)
-            }
-            ExecKind::LoadFp { rs1, offset } => {
-                let addr = lanes.value(rs1).wrapping_add(offset as u32);
-                if !addr.is_multiple_of(4) {
-                    return Err(SimError::Misaligned { addr, size: 4 });
-                }
-                mem_addr = Some(addr);
-                let ready =
-                    self.simt_mem(stage, addr, 4, false, start, memlane, store_floor, shared);
-                self.stats.activity.loads += 1;
-                (ready, dst(shared.mem.read_u32(addr)))
-            }
-            ExecKind::StoreFp { rs1, rs2, offset } => {
-                let addr = lanes.value(rs1).wrapping_add(offset as u32);
-                if !addr.is_multiple_of(4) {
-                    return Err(SimError::Misaligned { addr, size: 4 });
-                }
-                mem_addr = Some(addr);
-                shared.mem.write_u32(addr, lanes.value(rs2));
-                let ready =
-                    self.simt_mem(stage, addr, 4, true, start, memlane, store_floor, shared);
-                self.stats.activity.stores += 1;
-                (ready, None)
-            }
-            ExecKind::FpOp { op, rs1, rs2 } => (
-                start + latency,
-                dst(exec::fp_op(op, lanes.value(rs1), lanes.value(rs2))),
-            ),
-            ExecKind::FpFma { op, rs1, rs2, rs3 } => (
-                start + latency,
-                dst(exec::fp_fma(
-                    op,
-                    lanes.value(rs1),
-                    lanes.value(rs2),
-                    lanes.value(rs3),
-                )),
-            ),
-            ExecKind::FpCmp { op, rs1, rs2 } => (
-                start + latency,
-                dst(exec::fp_cmp(op, lanes.value(rs1), lanes.value(rs2))),
-            ),
-            ExecKind::FpToInt { op, rs1 } => {
-                (start + latency, dst(exec::fp_to_int(op, lanes.value(rs1))))
-            }
-            ExecKind::IntToFp { op, rs1 } => {
-                (start + latency, dst(exec::int_to_fp(op, lanes.value(rs1))))
-            }
-            // find_region filtered everything else out.
-            _ => {
-                let other = st.inst;
-                return Err(SimError::InvalidSimtRegion {
-                    reason: format!("unexpected instruction {other:?} in validated SIMT body"),
-                });
-            }
-        };
-        self.probes
-            .retire_arch(self.thread_id as u32, pc, out.1, mem_addr);
-        Ok(out)
-    }
-
-    /// Memory access for a SIMT instance through its stage cluster's LSU.
-    #[allow(clippy::too_many_arguments)]
-    fn simt_mem(
-        &mut self,
-        stage: usize,
-        addr: u32,
-        size: u32,
-        write: bool,
-        start: u64,
-        memlane: &mut MemLane,
-        store_floor: &mut u64,
-        shared: &mut SharedParts,
-    ) -> u64 {
-        let thread = self.thread_id as u32;
-        let unit = stage as u32;
-        if write {
-            let want = start.max(*store_floor);
-            let (issue, waited, id) = self.clusters[stage].lsu.issue_blocking_traced(
-                want,
-                true,
-                self.probes.tracer(),
-                thread,
-                unit,
-            );
-            self.stall(Track::Lsu(unit), StallCause::Memory, issue, waited);
-            *store_floor = issue;
-            memlane.push_store(addr, size, 0, issue);
-            memlane.trim();
-            let out = shared
-                .l1d
-                .access_traced(addr, true, issue, self.probes.tracer(), thread);
-            self.count_cache(&out);
-            self.clusters[stage].line_buf_fill(addr & !63);
-            let ready = issue + 1;
-            self.clusters[stage].lsu.complete_at_traced(
-                ready,
-                id,
-                self.probes.tracer(),
-                thread,
-                unit,
-            );
-            ready
-        } else {
-            let (want, forward) = match memlane.lookup(addr, size) {
-                LaneLookup::HitFast { store_time, .. } => (start.max(store_time), true),
-                LaneLookup::HitSlow { store_time, .. } | LaneLookup::Conflict { store_time } => {
-                    (start.max(store_time + 1), false)
-                }
-                LaneLookup::Miss => (start, false),
-            };
-            let line = addr & !63;
-            if !forward && self.clusters[stage].line_buf_hit(line) {
-                self.stats.activity.memlane_hits += 1;
-                return want + 1;
-            }
-            let (issue, waited, id) = self.clusters[stage].lsu.issue_blocking_traced(
-                want,
-                false,
-                self.probes.tracer(),
-                thread,
-                unit,
-            );
-            self.stall(Track::Lsu(unit), StallCause::Memory, issue, waited);
-            let ready = if forward {
-                self.stats.activity.memlane_hits += 1;
-                issue + 1
-            } else {
-                let out =
-                    shared
-                        .l1d
-                        .access_traced(addr, false, issue, self.probes.tracer(), thread);
-                self.count_cache(&out);
-                if !out.l1_hit {
-                    let hit_time = issue + self.config.l1d.hit_latency as u64;
-                    self.stall(
-                        Track::Cache(1),
-                        StallCause::Memory,
-                        out.ready_at,
-                        out.ready_at.saturating_sub(hit_time),
-                    );
-                }
-                self.clusters[stage].line_buf_fill(line);
-                out.ready_at
-            };
-            self.clusters[stage].lsu.complete_at_traced(
-                ready,
-                id,
-                self.probes.tracer(),
-                thread,
-                unit,
-            );
-            ready
-        }
+        exit
     }
 }

@@ -10,7 +10,7 @@
 
 use diag_asm::Program;
 use diag_isa::{
-    exec, ArchReg, ExecKind, Inst, Reg, StationSlot, StationTable, INST_BYTES, NUM_LANES,
+    exec, ArchReg, ExecKind, Inst, Reg, Station, StationSlot, StationTable, INST_BYTES, NUM_LANES,
 };
 use diag_mem::MainMemory;
 
@@ -297,11 +297,168 @@ pub fn arch_step(
     })
 }
 
+/// What firing one station did, with no timing: the architectural half of
+/// an instruction, which every engine shares.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Effect {
+    /// The destination lane written, with the value. A station carries no
+    /// `x0` writeback, so only a SIMT marker's control register can name
+    /// the zero lane here.
+    pub dest: Option<(ArchReg, u32)>,
+    /// The architecturally-correct next PC.
+    pub next_pc: u32,
+    /// Whether control flow was redirected (taken branch, jump, trap, or
+    /// looping `simt_e`).
+    pub redirected: bool,
+    /// The memory access, already applied to main memory.
+    pub mem: MemEffect,
+    /// Whether the thread halted (`ecall`, or `ebreak` without a trap
+    /// vector).
+    pub halted: bool,
+}
+
+impl Effect {
+    fn jump(&mut self, target: u32) {
+        self.next_pc = target;
+        self.redirected = true;
+    }
+}
+
+/// Fires the predecoded station `st` at `pc`: reads its source lanes
+/// through `reg` (which must read `x0` as zero), performs its load or store
+/// on `mem`, and reports what it did. This is the one firing rule of the
+/// workspace, as the paper's PE is one station plus a functional unit
+/// (§4.1–4.2): the baselines call it through [`station_step`], DiAG's ring
+/// and its pipelined SIMT instances call it directly, and each engine adds
+/// only its own timing. [`arch_step`] stays the independently written
+/// reference it is diffed against.
+///
+/// `peek` resolves the instruction at another text address; it is only
+/// consulted to name what a `simt_e` points at when that is not a `simt_s`.
+/// Always inlined, so each engine's hot loop reads its register lanes in
+/// place.
+///
+/// # Errors
+///
+/// [`SimError::Misaligned`] for a misaligned load or store, and
+/// [`SimError::InvalidSimtRegion`] for a `simt_e` whose pair is not a
+/// `simt_s`.
+#[inline(always)]
+pub fn evaluate(
+    st: &Station,
+    pc: u32,
+    reg: impl Fn(ArchReg) -> u32,
+    mem: &mut MainMemory,
+    trap_vector: Option<u32>,
+    peek: impl FnOnce(u32) -> Option<Inst>,
+) -> Result<Effect, SimError> {
+    let aligned = |addr: u32, size: u32| {
+        if addr.is_multiple_of(size) {
+            Ok(addr)
+        } else {
+            Err(SimError::Misaligned { addr, size })
+        }
+    };
+    let dst = |value: u32| st.dest.map(|d| (d, value));
+    let mut eff = Effect {
+        dest: None,
+        next_pc: pc.wrapping_add(INST_BYTES),
+        redirected: false,
+        mem: MemEffect::None,
+        halted: false,
+    };
+    match st.kind {
+        ExecKind::Const { value } => eff.dest = dst(value),
+        ExecKind::AluImm { op, rs1, imm } => eff.dest = dst(exec::alu(op, reg(rs1), imm)),
+        ExecKind::Alu { op, rs1, rs2 } => eff.dest = dst(exec::alu(op, reg(rs1), reg(rs2))),
+        ExecKind::Jal { target, link } => {
+            eff.dest = dst(link);
+            eff.jump(target);
+        }
+        ExecKind::Jalr { rs1, offset, link } => {
+            eff.dest = dst(link);
+            eff.jump(reg(rs1).wrapping_add(offset as u32) & !1);
+        }
+        ExecKind::Branch {
+            op,
+            rs1,
+            rs2,
+            target,
+        } => {
+            if exec::branch_taken(op, reg(rs1), reg(rs2)) {
+                eff.jump(target);
+            }
+        }
+        ExecKind::Load { op, rs1, offset } => {
+            let size = op.size();
+            let addr = aligned(reg(rs1).wrapping_add(offset as u32), size)?;
+            eff.dest = dst(exec::extend_load(op, mem.read(addr, size)));
+            eff.mem = MemEffect::Load { addr, size };
+        }
+        ExecKind::Store {
+            op,
+            rs1,
+            rs2,
+            offset,
+        } => {
+            let size = op.size();
+            let addr = aligned(reg(rs1).wrapping_add(offset as u32), size)?;
+            mem.write(addr, size, reg(rs2));
+            eff.mem = MemEffect::Store { addr, size };
+        }
+        ExecKind::LoadFp { rs1, offset } => {
+            let addr = aligned(reg(rs1).wrapping_add(offset as u32), 4)?;
+            eff.dest = dst(mem.read_u32(addr));
+            eff.mem = MemEffect::Load { addr, size: 4 };
+        }
+        ExecKind::StoreFp { rs1, rs2, offset } => {
+            let addr = aligned(reg(rs1).wrapping_add(offset as u32), 4)?;
+            mem.write_u32(addr, reg(rs2));
+            eff.mem = MemEffect::Store { addr, size: 4 };
+        }
+        ExecKind::FpOp { op, rs1, rs2 } => eff.dest = dst(exec::fp_op(op, reg(rs1), reg(rs2))),
+        ExecKind::FpFma { op, rs1, rs2, rs3 } => {
+            eff.dest = dst(exec::fp_fma(op, reg(rs1), reg(rs2), reg(rs3)))
+        }
+        ExecKind::FpCmp { op, rs1, rs2 } => eff.dest = dst(exec::fp_cmp(op, reg(rs1), reg(rs2))),
+        ExecKind::FpToInt { op, rs1 } => eff.dest = dst(exec::fp_to_int(op, reg(rs1))),
+        ExecKind::IntToFp { op, rs1 } => eff.dest = dst(exec::int_to_fp(op, reg(rs1))),
+        ExecKind::Fence => {}
+        ExecKind::Ecall => eff.halted = true,
+        ExecKind::Ebreak => match trap_vector {
+            Some(vector) => eff.jump(vector),
+            None => eff.halted = true,
+        },
+        // Sequential marker semantics: rc passes through.
+        ExecKind::SimtS { rc } => eff.dest = Some((rc, reg(rc))),
+        ExecKind::SimtE {
+            rc,
+            r_end,
+            start_pc,
+            step,
+        } => {
+            let Some(r_step) = step else {
+                let other = peek(start_pc);
+                return Err(SimError::InvalidSimtRegion {
+                    reason: format!(
+                        "simt_e at {pc:#x} points to {other:?} at {start_pc:#x}, not simt_s"
+                    ),
+                });
+            };
+            let rc_new = reg(rc).wrapping_add(reg(r_step));
+            eff.dest = Some((rc, rc_new));
+            if (rc_new as i32) < (reg(r_end) as i32) {
+                eff.jump(start_pc.wrapping_add(INST_BYTES));
+            }
+        }
+    }
+    Ok(eff)
+}
+
 /// Executes one instruction architecturally from a predecoded
 /// [`StationTable`] — the allocation- and decode-free counterpart of
-/// [`arch_step`], used by the baseline machines' hot loops. [`arch_step`]
-/// is kept as the independently-written reference the station path is
-/// diffed against.
+/// [`arch_step`], used by the baseline machines' hot loops: a station
+/// lookup, [`evaluate`], and the [`ArchState`] update.
 ///
 /// The reported [`StepInfo::dest`] filters `x0` destinations (a station
 /// carries no `x0` writeback); every consumer of `dest` filters the zero
@@ -324,147 +481,29 @@ pub fn station_step(
         }
         StationSlot::Empty => return Err(SimError::PcOutOfRange { pc }),
     };
-    let mut next_pc = pc.wrapping_add(INST_BYTES);
-    let mut redirected = false;
-    let mut dest: Option<(ArchReg, u32)> = None;
-    let mut mem_effect = MemEffect::None;
-    let dst = |value: u32| st.dest.map(|d| (d, value));
-
-    match st.kind {
-        ExecKind::Const { value } => dest = dst(value),
-        ExecKind::AluImm { op, rs1, imm } => dest = dst(exec::alu(op, state.reg(rs1), imm)),
-        ExecKind::Alu { op, rs1, rs2 } => dest = dst(exec::alu(op, state.reg(rs1), state.reg(rs2))),
-        ExecKind::Jal { target, link } => {
-            dest = dst(link);
-            next_pc = target;
-            redirected = true;
-        }
-        ExecKind::Jalr { rs1, offset, link } => {
-            let target = state.reg(rs1).wrapping_add(offset as u32) & !1;
-            dest = dst(link);
-            next_pc = target;
-            redirected = true;
-        }
-        ExecKind::Branch {
-            op,
-            rs1,
-            rs2,
-            target,
-        } => {
-            if exec::branch_taken(op, state.reg(rs1), state.reg(rs2)) {
-                next_pc = target;
-                redirected = true;
-            }
-        }
-        ExecKind::Load { op, rs1, offset } => {
-            let addr = state.reg(rs1).wrapping_add(offset as u32);
-            let size = op.size();
-            if !addr.is_multiple_of(size) {
-                return Err(SimError::Misaligned { addr, size });
-            }
-            let raw = mem.read(addr, size);
-            dest = dst(exec::extend_load(op, raw));
-            mem_effect = MemEffect::Load { addr, size };
-        }
-        ExecKind::Store {
-            op,
-            rs1,
-            rs2,
-            offset,
-        } => {
-            let addr = state.reg(rs1).wrapping_add(offset as u32);
-            let size = op.size();
-            if !addr.is_multiple_of(size) {
-                return Err(SimError::Misaligned { addr, size });
-            }
-            mem.write(addr, size, state.reg(rs2));
-            mem_effect = MemEffect::Store { addr, size };
-        }
-        ExecKind::LoadFp { rs1, offset } => {
-            let addr = state.reg(rs1).wrapping_add(offset as u32);
-            if !addr.is_multiple_of(4) {
-                return Err(SimError::Misaligned { addr, size: 4 });
-            }
-            dest = dst(mem.read_u32(addr));
-            mem_effect = MemEffect::Load { addr, size: 4 };
-        }
-        ExecKind::StoreFp { rs1, rs2, offset } => {
-            let addr = state.reg(rs1).wrapping_add(offset as u32);
-            if !addr.is_multiple_of(4) {
-                return Err(SimError::Misaligned { addr, size: 4 });
-            }
-            mem.write_u32(addr, state.reg(rs2));
-            mem_effect = MemEffect::Store { addr, size: 4 };
-        }
-        ExecKind::FpOp { op, rs1, rs2 } => {
-            dest = dst(exec::fp_op(op, state.reg(rs1), state.reg(rs2)))
-        }
-        ExecKind::FpFma { op, rs1, rs2, rs3 } => {
-            dest = dst(exec::fp_fma(
-                op,
-                state.reg(rs1),
-                state.reg(rs2),
-                state.reg(rs3),
-            ))
-        }
-        ExecKind::FpCmp { op, rs1, rs2 } => {
-            dest = dst(exec::fp_cmp(op, state.reg(rs1), state.reg(rs2)))
-        }
-        ExecKind::FpToInt { op, rs1 } => dest = dst(exec::fp_to_int(op, state.reg(rs1))),
-        ExecKind::IntToFp { op, rs1 } => dest = dst(exec::int_to_fp(op, state.reg(rs1))),
-        ExecKind::Fence => {}
-        ExecKind::Ecall => state.halted = true,
-        ExecKind::Ebreak => match trap_vector {
-            Some(vector) => {
-                next_pc = vector;
-                redirected = true;
-            }
-            None => state.halted = true,
+    let eff = evaluate(
+        &st,
+        pc,
+        |lane| state.reg(lane),
+        mem,
+        trap_vector,
+        |a| match stations.get(a) {
+            StationSlot::Ready(s) => Some(s.inst),
+            _ => None,
         },
-        ExecKind::SimtS { rc } => {
-            // Sequential marker semantics: rc passes through.
-            dest = Some((rc, state.reg(rc)));
-        }
-        ExecKind::SimtE {
-            rc,
-            r_end,
-            start_pc,
-            step,
-        } => {
-            let step = match step {
-                Some(r_step) => state.reg(r_step),
-                None => {
-                    let other = match stations.get(start_pc) {
-                        StationSlot::Ready(s) => Some(s.inst),
-                        _ => None,
-                    };
-                    return Err(SimError::InvalidSimtRegion {
-                        reason: format!(
-                            "simt_e at {pc:#x} points to {other:?} at {start_pc:#x}, not simt_s"
-                        ),
-                    });
-                }
-            };
-            let rc_new = state.reg(rc).wrapping_add(step);
-            dest = Some((rc, rc_new));
-            if (rc_new as i32) < (state.reg(r_end) as i32) {
-                next_pc = start_pc.wrapping_add(INST_BYTES);
-                redirected = true;
-            }
-        }
-    }
-
-    if let Some((lane, value)) = dest {
+    )?;
+    if let Some((lane, value)) = eff.dest {
         state.set(lane, value);
     }
-    state.pc = next_pc;
+    state.pc = eff.next_pc;
+    state.halted |= eff.halted;
     Ok(StepInfo {
         inst: st.inst,
         pc,
-        next_pc,
-        redirected,
-        dest,
-        mem: mem_effect,
+        next_pc: eff.next_pc,
+        redirected: eff.redirected,
+        dest: eff.dest,
+        mem: eff.mem,
     })
 }
 
