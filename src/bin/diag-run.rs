@@ -2,15 +2,15 @@
 //! any machine model in the workspace.
 //!
 //! ```text
-//! diag-run <file.s> [--machine SPEC] [--threads N] [--no-simt]
-//!          [--no-reuse] [--trace] [--dump ADDR LEN]
+//! diag-run <file.s> [--machine SPEC] [--threads N] [--trace] [--dump ADDR LEN]
 //! ```
 //!
 //! `--machine` takes a spec in the canonical grammar shared with the
 //! harness and the server — `diag[:preset][+key=value,...]`,
 //! `ooo[:cores]`, or `inorder` (presets `i4c2`/`f4c2`/`f4c16`/`f4c32`).
 //! So `diag:f4c2+lsu_depth=4` runs a two-cluster DiAG with a shallower
-//! load-store unit.
+//! load-store unit, and `diag+simt=0,reuse=0` runs SIMT regions
+//! sequentially and without datapath reuse.
 //!
 //! The program halts when every hardware thread executes `ecall`. Run
 //! statistics (cycles, IPC, reuse fraction, stall breakdown) print on
@@ -26,8 +26,6 @@ struct Options {
     path: String,
     machine: String,
     threads: usize,
-    simt: bool,
-    reuse: bool,
     trace: bool,
     dump: Option<(u32, u32)>,
 }
@@ -38,8 +36,6 @@ fn parse_args() -> Result<Options, String> {
         path: String::new(),
         machine: "diag".to_string(),
         threads: 1,
-        simt: true,
-        reuse: true,
         trace: false,
         dump: None,
     };
@@ -52,8 +48,6 @@ fn parse_args() -> Result<Options, String> {
                     .and_then(|v| v.parse().ok())
                     .ok_or("--threads needs a number")?
             }
-            "--no-simt" => opts.simt = false,
-            "--no-reuse" => opts.reuse = false,
             "--trace" => opts.trace = true,
             "--dump" => {
                 let addr = args
@@ -92,7 +86,7 @@ fn main() {
         Err(e) => {
             eprintln!(
                 "error: {e}\nusage: diag-run <file.s> [--machine SPEC] [--threads N] \
-                 [--no-simt] [--no-reuse] [--trace] [--dump ADDR LEN]\n\
+                 [--trace] [--dump ADDR LEN]\n\
                  machine specs: diag[:preset][+key=value,...] | ooo[:cores] | inorder"
             );
             std::process::exit(2);
@@ -113,17 +107,13 @@ fn main() {
         }
     };
 
-    let mut spec = match MachineSpec::parse(&opts.machine) {
+    let spec = match MachineSpec::parse(&opts.machine) {
         Ok(spec) => spec,
         Err(e) => {
             eprintln!("error: --machine {}: {e}", opts.machine);
             std::process::exit(2);
         }
     };
-    if let MachineSpec::Diag(cfg) = &mut spec {
-        cfg.enable_simt = opts.simt;
-        cfg.enable_reuse = opts.reuse;
-    }
     let pes_per_cluster = match &spec {
         MachineSpec::Diag(cfg) => cfg.pes_per_cluster as u32,
         _ => 0,
