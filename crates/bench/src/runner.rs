@@ -220,7 +220,8 @@ mod tests {
         // The acceptance test for run memoization: a second run of the
         // same (workload, params, machine_spec) through the same session
         // must not step a machine at all — `diag_sim::machine_steps` is
-        // the counting hook bumped by every default run loop.
+        // the counting hook bumped by every default run loop, per thread,
+        // and `run_verified_with` runs its machine on this thread.
         let session = Session::in_memory();
         let spec = find("hotspot").unwrap();
         let machine = MachineSpec::Diag(DiagConfig::f4c2());

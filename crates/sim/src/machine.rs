@@ -8,8 +8,8 @@
 //! default that drives `load` + `step` to completion, so callers that only
 //! want final results keep the one-call API.
 
+use std::cell::Cell;
 use std::fmt;
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 use diag_asm::Program;
@@ -88,16 +88,21 @@ impl fmt::Display for SimError {
 
 impl std::error::Error for SimError {}
 
-/// Process-wide count of [`Machine::step`] quanta driven by the default
-/// [`Machine::run`]/[`Machine::run_prepared`] loops, counted once per
-/// completed run to keep the hot loop free of per-step atomics.
-static MACHINE_STEPS: AtomicU64 = AtomicU64::new(0);
+thread_local! {
+    /// This thread's count of [`Machine::step`] quanta driven by the
+    /// default [`Machine::run`]/[`Machine::run_prepared`] loops, counted
+    /// once per completed run to keep the hot loop free of per-step
+    /// bookkeeping.
+    static MACHINE_STEPS: Cell<u64> = const { Cell::new(0) };
+}
 
-/// Process-wide number of [`Machine::step`] calls issued by the default
-/// run loops so far. A counting hook for cache tests: a memoized
-/// resubmission must leave this unchanged — zero simulation steps.
+/// Number of [`Machine::step`] calls the default run loops have issued on
+/// the calling thread so far. A counting hook for cache tests: a memoized
+/// resubmission must leave this unchanged — zero simulation steps. The
+/// count is per thread, so runs on other threads (sibling tests, sweep
+/// workers) never move it.
 pub fn machine_steps() -> u64 {
-    MACHINE_STEPS.load(Ordering::Relaxed)
+    MACHINE_STEPS.with(Cell::get)
 }
 
 /// What one [`Machine::step`] call did.
@@ -301,7 +306,7 @@ fn run_to_halt<M: Machine + ?Sized>(machine: &mut M) -> Result<RunStats, SimErro
             Err(e) => break Err(e),
         }
     };
-    MACHINE_STEPS.fetch_add(steps, Ordering::Relaxed);
+    MACHINE_STEPS.with(|n| n.set(n.get() + steps));
     result
 }
 
