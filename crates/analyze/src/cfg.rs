@@ -244,15 +244,6 @@ impl Cfg {
         self.blocks.binary_search_by_key(&addr, |b| b.start).ok()
     }
 
-    /// The index of the block containing `addr`, if any.
-    pub fn block_containing(&self, addr: u32) -> Option<usize> {
-        match self.blocks.binary_search_by_key(&addr, |b| b.start) {
-            Ok(i) => Some(i),
-            Err(0) => None,
-            Err(i) => (addr < self.blocks[i - 1].end).then_some(i - 1),
-        }
-    }
-
     /// Immediate dominators of every reachable block (entry maps to
     /// itself), computed with the Cooper–Harvey–Kennedy iteration.
     /// Unreachable blocks have no entry (`None`).

@@ -113,11 +113,6 @@ impl Analysis {
     pub fn max_severity(&self) -> Option<Severity> {
         self.diagnostics.iter().map(|d| d.severity).max()
     }
-
-    /// Whether any `Error`-severity finding was emitted.
-    pub fn has_errors(&self) -> bool {
-        self.max_severity() == Some(Severity::Error)
-    }
 }
 
 /// Statically analyzes `program` for the processor described by `opts`.

@@ -199,11 +199,6 @@ impl ProgramBuilder {
         self.next_pos
     }
 
-    /// Address the next emitted instruction will occupy.
-    pub fn current_address(&self) -> u32 {
-        TEXT_BASE + self.next_pos * INST_BYTES
-    }
-
     fn push(&mut self, item: Item) {
         self.positions.push(self.next_pos);
         self.next_pos += item.words();

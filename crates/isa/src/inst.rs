@@ -515,11 +515,6 @@ impl Inst {
         )
     }
 
-    /// Whether this is an unconditional direct or indirect jump.
-    pub fn is_jump(&self) -> bool {
-        matches!(self, Inst::Jal { .. } | Inst::Jalr { .. })
-    }
-
     /// Whether this instruction reads memory.
     pub fn is_load(&self) -> bool {
         matches!(self, Inst::Load { .. } | Inst::Flw { .. })

@@ -71,11 +71,6 @@ impl Itv {
         }
     }
 
-    /// True when the full domain (no information).
-    pub fn is_top(&self) -> bool {
-        *self == Itv::top()
-    }
-
     /// `Some(v)` when the range pins a single value.
     pub fn is_singleton(&self) -> Option<u32> {
         if self.lo == self.hi {

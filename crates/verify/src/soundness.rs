@@ -122,15 +122,7 @@ mod tests {
                     break;
                 }
                 let info = arch_step(&mut state, program, &mut mem, None).unwrap();
-                observer.retire(
-                    info.pc,
-                    info.dest,
-                    match info.mem {
-                        diag_sim::interp::MemEffect::Load { addr, .. }
-                        | diag_sim::interp::MemEffect::Store { addr, .. } => Some(addr),
-                        diag_sim::interp::MemEffect::None => None,
-                    },
-                );
+                observer.retire(info.pc, info.dest, info.mem.addr());
             }
             assert!(state.halted, "program did not halt");
         }
