@@ -425,66 +425,67 @@ impl RingSim {
         // The instance's private PC starts after simt_s; forward branches
         // move it, nullifying skipped PEs (§4.4.3).
         let mut inst_pc = region.pc_s.wrapping_add(INST_BYTES);
-        let exit = 'instance: {
-            let mut exit = spawn;
-            for (k, &(pc, st)) in region.body.iter().enumerate() {
-                if pc != inst_pc {
-                    // Nullified by a taken forward branch: PE disabled.
-                    continue;
-                }
-                let stage = (((pc & !(line_bytes - 1)) - region.lines[0]) / line_bytes) as usize;
-                let slot = self.stage_slot(stage, pc, region);
-                let mut start = spawn.max(stage_ready[stage]).max(slot_busy[k]);
-                for src in st.srcs.iter() {
-                    start = start.max(lanes.ready_at(src, slot, &self.geom));
-                }
-                let eff = match evaluate(
-                    &st,
-                    pc,
-                    |lane| lanes.value(lane),
-                    &mut shared.mem,
-                    self.config.trap_vector,
-                    |a| self.program.decode_at(a),
-                ) {
-                    Ok(eff) => eff,
-                    Err(e) => break 'instance Err(e),
-                };
-                inst_pc = eff.next_pc;
-                let finish = match eff.mem {
-                    MemEffect::None => start + st.latency as u64,
-                    MemEffect::Load { addr, size } | MemEffect::Store { addr, size } => {
-                        let write = matches!(eff.mem, MemEffect::Store { .. });
-                        let (_, ready) = self.mem_access(
-                            stage,
-                            addr,
-                            size,
-                            write,
-                            start,
-                            &mut memlane,
-                            &mut store_floor,
-                            0,
-                            shared,
-                        );
-                        ready
-                    }
-                };
-                self.probes
-                    .retire_arch(thread, pc, eff.dest, eff.mem.addr());
-                slot_busy[k] = reissue_at(&st, start);
-                if let Some((lane, value)) = eff.dest {
-                    lanes.write(lane, value, finish, slot);
-                    self.stats.activity.reg_writes += 1;
-                }
-                let cycles = self.count_exec(&st, start, finish);
-                *commits += 1;
-                busy[k] += cycles;
-                execs[k] += 1;
-                exit = exit.max(finish);
+        let mut exit = spawn;
+        for (k, &(pc, st)) in region.body.iter().enumerate() {
+            if pc != inst_pc {
+                // Nullified by a taken forward branch: PE disabled.
+                continue;
             }
-            Ok(exit)
-        };
+            let stage = (((pc & !(line_bytes - 1)) - region.lines[0]) / line_bytes) as usize;
+            let slot = self.stage_slot(stage, pc, region);
+            let mut start = spawn.max(stage_ready[stage]).max(slot_busy[k]);
+            for src in st.srcs.iter() {
+                start = start.max(lanes.ready_at(src, slot, &self.geom));
+            }
+            let eff = match evaluate(
+                &st,
+                pc,
+                |lane| lanes.value(lane),
+                &mut shared.mem,
+                self.config.trap_vector,
+                |a| self.program.decode_at(a),
+            ) {
+                Ok(eff) => eff,
+                Err(e) => {
+                    memlane.clear();
+                    self.simt_memlane = memlane;
+                    return Err(e);
+                }
+            };
+            inst_pc = eff.next_pc;
+            let finish = match eff.mem {
+                MemEffect::None => start + st.latency as u64,
+                MemEffect::Load { addr, size } | MemEffect::Store { addr, size } => {
+                    let write = matches!(eff.mem, MemEffect::Store { .. });
+                    let (_, ready) = self.mem_access(
+                        stage,
+                        addr,
+                        size,
+                        write,
+                        start,
+                        &mut memlane,
+                        &mut store_floor,
+                        0,
+                        shared,
+                    );
+                    ready
+                }
+            };
+            self.probes
+                .retire_arch(thread, pc, eff.dest, eff.mem.addr());
+            slot_busy[k] = reissue_at(&st, start);
+            if let Some((lane, value)) = eff.dest {
+                lanes.write(lane, value, finish, slot);
+                self.stats.activity.reg_writes += 1;
+            }
+            let cycles = self.count_exec(&st, start, finish);
+            *commits += 1;
+            busy[k] += cycles;
+            execs[k] += 1;
+            exit = exit.max(finish);
+        }
         memlane.clear();
         self.simt_memlane = memlane;
-        exit
+        Ok(exit)
     }
 }

@@ -1,8 +1,11 @@
 //! A pure architectural interpreter for RV32IMF + the DiAG SIMT markers.
 //!
-//! Machines that are not lane-based (the out-of-order baseline and the
-//! in-order reference) layer their timing models over this interpreter,
-//! guaranteeing they agree architecturally with each other. The SIMT
+//! Every machine layers its timing model over [`evaluate`], which fires
+//! one predecoded station: the out-of-order baseline and the in-order
+//! reference through [`station_step`], DiAG's rings and pipelined SIMT
+//! instances directly. So they agree architecturally with each other by
+//! construction; [`arch_step`], which decodes every step, is the
+//! independently written reference they are diffed against. The SIMT
 //! markers execute with their sequential-loop semantics: `simt_s` is a
 //! no-op and `simt_e` advances the control register by the paired
 //! `simt_s`'s step register and loops while the bound holds — exactly the
