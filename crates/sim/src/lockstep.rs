@@ -127,9 +127,9 @@ impl<'m> Side<'m> {
 /// lockstep over `program` and compares their retirement streams.
 ///
 /// Stops at the first divergence, when both machines halt in agreement,
-/// or after `max_commits` matched retirements per thread (a safety bound
-/// against infinite programs; pass `u64::MAX` for no bound — the
-/// machines' own cycle limits still apply).
+/// or after `max_commits` matched retirements summed over all threads (a
+/// safety bound against infinite programs; pass `u64::MAX` for no bound —
+/// the machines' own cycle limits still apply).
 ///
 /// # Errors
 ///
@@ -168,7 +168,10 @@ pub fn run_lockstep_prepared(
     let threads = threads.max(1);
     let mut l = Side::new(left, program, stations, threads);
     let mut r = Side::new(right, program, stations, threads);
+    // Matched retirements in total, and per thread: a divergence's
+    // index counts only its own thread's retirements.
     let mut matched = 0u64;
+    let mut per_thread = vec![0u64; threads];
 
     loop {
         // Advance whichever side is behind on drained commits, so the
@@ -180,7 +183,7 @@ pub fn run_lockstep_prepared(
         }
 
         // Match as much of the common per-thread prefixes as possible.
-        for t in 0..threads {
+        for (t, index) in per_thread.iter_mut().enumerate() {
             // Peek both before popping either: popping unconditionally
             // would discard a commit from the longer queue when the
             // other side has nothing to match it against yet.
@@ -191,11 +194,12 @@ pub fn run_lockstep_prepared(
                     return Ok(LockstepOutcome::Diverged(divergence(
                         program,
                         t as u32,
-                        matched,
+                        *index,
                         Some(a),
                         Some(b),
                     )));
                 }
+                *index += 1;
                 matched += 1;
                 if matched >= max_commits {
                     return Ok(LockstepOutcome::Agree { commits: matched });
@@ -205,12 +209,12 @@ pub fn run_lockstep_prepared(
 
         if l.halted && r.halted {
             // One side retiring more than the other is also a divergence.
-            for t in 0..threads {
+            for (t, &index) in per_thread.iter().enumerate() {
                 match (l.pending[t].front().copied(), r.pending[t].front().copied()) {
                     (None, None) => {}
                     (a, b) => {
                         return Ok(LockstepOutcome::Diverged(divergence(
-                            program, t as u32, matched, a, b,
+                            program, t as u32, index, a, b,
                         )))
                     }
                 }

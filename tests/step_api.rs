@@ -148,15 +148,20 @@ fn lockstep_agrees_on_rodinia_kernel() {
 /// timing-model bug lockstep exists to catch.
 struct CorruptedMachine {
     inner: InOrder,
-    /// 1-based index of the retirement whose dest value gets flipped.
+    /// Hardware thread whose retirement gets corrupted.
+    thread: u32,
+    /// 1-based index, within `thread`'s stream, of the retirement whose
+    /// dest value gets flipped.
     corrupt_at: u64,
+    /// Retirements of `thread` seen so far.
     seen: u64,
 }
 
 impl CorruptedMachine {
-    fn new(corrupt_at: u64) -> CorruptedMachine {
+    fn new(thread: u32, corrupt_at: u64) -> CorruptedMachine {
         CorruptedMachine {
             inner: InOrder::new(),
+            thread,
             corrupt_at,
             seen: 0,
         }
@@ -187,7 +192,7 @@ impl Machine for CorruptedMachine {
 
     fn take_commits(&mut self) -> Vec<Commit> {
         let mut commits = self.inner.take_commits();
-        for c in &mut commits {
+        for c in commits.iter_mut().filter(|c| c.thread == self.thread) {
             self.seen += 1;
             if self.seen == self.corrupt_at {
                 if let Some((reg, value)) = c.dest {
@@ -203,40 +208,54 @@ impl Machine for CorruptedMachine {
     }
 }
 
-/// Lockstep pinpoints the first corrupted retirement: right thread, right
-/// index, both values in the report.
-#[test]
-fn lockstep_reports_first_divergence() {
-    let spec = find("nw").expect("registered workload");
-    let built = spec.build(&Params::tiny()).expect("build");
-    // Pick a retirement that writes a register (stores/branches carry no
-    // dest): walk the reference stream for the first suitable index past
-    // 50 retirements.
+/// The 1-based index, within `thread`'s retirement stream of `program`
+/// run with `threads` threads, of the first retirement past `past` that
+/// writes a register (stores and branches carry no dest).
+fn register_write_after(
+    program: &diag::asm::Program,
+    threads: usize,
+    thread: u32,
+    past: u64,
+) -> u64 {
     let mut probe = InOrder::new();
     probe.set_commit_log(true);
-    probe.load(&built.program, 1);
-    let mut index = None;
+    probe.load(program, threads);
     let mut seen = 0u64;
-    'outer: while !probe.step().expect("probe").is_halted() {
+    while !probe.step().expect("probe").is_halted() {
         for c in probe.take_commits() {
+            if c.thread != thread {
+                continue;
+            }
             seen += 1;
-            if seen > 50 && c.dest.is_some() {
-                index = Some(seen);
-                break 'outer;
+            if seen > past && c.dest.is_some() {
+                return seen;
             }
         }
     }
-    let corrupt_at = index.expect("kernel has register writes");
+    panic!("thread {thread} retires no register write past #{past}");
+}
 
-    let mut left = CorruptedMachine::new(corrupt_at);
+/// Lockstep pinpoints the first corrupted retirement of `thread` in an
+/// nw run with `threads` threads: right thread, right per-thread index,
+/// both values in the report.
+fn lockstep_catches_corruption(threads: usize, thread: u32) {
+    let spec = find("nw").expect("registered workload");
+    let built = spec.build(&Params::tiny()).expect("build");
+    let corrupt_at = register_write_after(&built.program, threads, thread, 50);
+
+    let mut left = CorruptedMachine::new(thread, corrupt_at);
     let mut reference = InOrder::new();
-    let outcome =
-        run_lockstep(&mut left, &mut reference, &built.program, 1, u64::MAX).expect("lockstep run");
+    let outcome = run_lockstep(&mut left, &mut reference, &built.program, threads, u64::MAX)
+        .expect("lockstep run");
     let LockstepOutcome::Diverged(d) = outcome else {
-        panic!("corruption at retirement {corrupt_at} went undetected");
+        panic!("corruption at thread {thread} retirement {corrupt_at} went undetected");
     };
-    assert_eq!(d.thread, 0);
-    assert_eq!(d.index, corrupt_at - 1, "divergence index is zero-based");
+    assert_eq!(d.thread, thread);
+    assert_eq!(
+        d.index,
+        corrupt_at - 1,
+        "divergence index is zero-based within the thread's stream"
+    );
     let (l, r) = (
         d.left.expect("left retired"),
         d.right.expect("reference retired"),
@@ -250,6 +269,18 @@ fn lockstep_reports_first_divergence() {
     // And the report is human-readable.
     let text = d.to_string();
     assert!(text.contains("first divergence"), "{text}");
+}
+
+#[test]
+fn lockstep_reports_first_divergence() {
+    lockstep_catches_corruption(1, 0);
+}
+
+/// With two threads the divergence index still counts only the
+/// diverging thread's retirements, not every thread's.
+#[test]
+fn lockstep_indexes_divergence_within_its_thread() {
+    lockstep_catches_corruption(2, 1);
 }
 
 /// The parallel sweep runner returns bit-identical statistics in
