@@ -34,13 +34,6 @@ pub enum LockstepOutcome {
     Diverged(Divergence),
 }
 
-impl LockstepOutcome {
-    /// Whether the machines agreed.
-    pub fn agreed(&self) -> bool {
-        matches!(self, LockstepOutcome::Agree { .. })
-    }
-}
-
 /// The first point where the two machines disagreed.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Divergence {

@@ -140,11 +140,6 @@ impl SpanTimer {
         }
     }
 
-    /// A span that records nothing, for paths built without telemetry.
-    pub fn disabled() -> SpanTimer {
-        SpanTimer { start: None }
-    }
-
     /// Nanoseconds elapsed so far, if the span is live.
     pub fn elapsed_ns(&self) -> Option<u64> {
         self.start.map(|s| {
