@@ -9,13 +9,15 @@
 //! functional-unit pools, and an LSQ in front of a private L1 backed by
 //! the shared L2.
 
+use std::cell::RefCell;
 use std::collections::VecDeque;
+use std::rc::Rc;
 use std::sync::Arc;
 
 use diag_isa::{ExecKind, StationSlot, StationTable};
-use diag_mem::{CacheArray, LaneLookup, Lsu, MainMemory, MemLane, PrivateCache};
+use diag_mem::{CacheArray, LaneLookup, Lsu, MainMemory, MemLane, PrivateCache, SharedLevel};
 use diag_sim::interp::{station_step, ArchState, MemEffect};
-use diag_sim::{Activity, Bucket, Probes, Retirement, SimError, StallBreakdown};
+use diag_sim::{Bucket, Counters, Probes, Retirement, SimError, Unit};
 use diag_trace::{Event, EventKind, StallCause, Track};
 
 use crate::bpred::BranchPredictor;
@@ -23,13 +25,16 @@ use crate::config::O3Config;
 use crate::fu::FuSet;
 use crate::util::{Bandwidth, IssueMeter};
 
-/// Statistics of one core, merged into the machine totals.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct CoreStats {
-    /// Activity counters.
-    pub activity: Activity,
-    /// Stall attribution.
-    pub stalls: StallBreakdown,
+/// What every core of one baseline run shares: the predecoded text, the
+/// core configuration, main memory and the L2 behind the private L1Ds.
+#[derive(Debug)]
+pub struct CoreShared {
+    pub(crate) entry: u32,
+    pub(crate) stations: Arc<StationTable>,
+    pub(crate) cfg: Arc<O3Config>,
+    /// Functional memory (all architectural data).
+    pub(crate) mem: MainMemory,
+    pub(crate) l2: Rc<RefCell<SharedLevel>>,
 }
 
 /// One out-of-order core running one hardware thread.
@@ -63,12 +68,9 @@ pub struct O3Core {
     store_buffer: MemLane,
     store_floor: u64,
     fence_floor: u64,
-    /// Whether the thread has halted.
-    pub halted: bool,
-    /// Per-core statistics.
-    pub stats: CoreStats,
+    halted: bool,
+    stats: Counters,
     last_fetch_line: u32,
-    committed_count: u64,
     thread_id: usize,
     /// The machine's probes, cloned at wave launch. Baseline events ride
     /// on [`Track::Core`].
@@ -82,17 +84,52 @@ pub struct O3Core {
 const L1I_MISS_PENALTY: u64 = 18;
 
 impl O3Core {
-    /// Creates core `thread_id` of `threads`, with a private L1D backed by
-    /// the given shared L2 and the wave's shared predecoded stations.
-    pub fn new(
-        entry: u32,
-        stations: Arc<StationTable>,
-        cfg: Arc<O3Config>,
-        l1d: PrivateCache,
+    /// Records `cycles` of stall attributed to `cause`, ending at `end`,
+    /// both in the breakdown and — when a tracer is attached — as a
+    /// paired `StallBegin`/`StallEnd` interval on this core's track. All
+    /// baseline stall accounting flows through here so the trace timeline
+    /// reconciles exactly with [`diag_sim::StallBreakdown`].
+    fn stall(&mut self, cause: StallCause, end: u64, cycles: u64) {
+        if cycles == 0 {
+            return;
+        }
+        self.stats.stalls.add_cycles(cause, cycles);
+        let thread = self.thread_id as u32;
+        let track = Track::Core(thread);
+        self.probes
+            .stall(self.prof_pc, thread, track, cause, end, cycles);
+    }
+
+    fn count_cache(&mut self, l1_hit: bool, l2_hit: bool) {
+        self.stats.activity.l1d_accesses += 1;
+        if !l1_hit {
+            self.stats.activity.l1d_misses += 1;
+            self.stats.activity.l2_accesses += 1;
+            if !l2_hit {
+                self.stats.activity.l2_misses += 1;
+            }
+        }
+    }
+}
+
+impl Unit for O3Core {
+    type Shared = CoreShared;
+
+    fn track(thread: u32) -> Track {
+        Track::Core(thread)
+    }
+
+    /// Starts core `thread_id` of `threads`, with a private L1D backed by
+    /// the shared L2.
+    fn launch(
+        shared: &CoreShared,
         thread_id: usize,
         threads: usize,
         start_time: u64,
+        probes: Probes,
     ) -> O3Core {
+        let cfg = Arc::clone(&shared.cfg);
+        let entry = shared.entry;
         let state = ArchState::new_thread(entry, thread_id, threads);
         O3Core {
             state,
@@ -107,56 +144,37 @@ impl O3Core {
             bpred: BranchPredictor::new(cfg.bpred_entries, cfg.btb_entries, cfg.ras_depth),
             fus: FuSet::new(&cfg),
             l1i: CacheArray::new(diag_mem::CacheConfig::l1i_32k()),
-            l1d,
+            l1d: PrivateCache::new(cfg.l1d, Rc::clone(&shared.l2)),
             lsq: Lsu::new(cfg.lsq_size),
             store_buffer: MemLane::new(cfg.lsq_size),
             store_floor: start_time,
             fence_floor: start_time,
             halted: false,
-            stats: CoreStats::default(),
+            stats: Counters::default(),
             last_fetch_line: u32::MAX,
-            committed_count: 0,
             thread_id,
-            probes: Probes::default(),
+            probes,
             prof_pc: entry,
             cfg,
-            stations,
+            stations: Arc::clone(&shared.stations),
         }
-    }
-
-    /// Records `cycles` of stall attributed to `cause`, ending at `end`,
-    /// both in the breakdown and — when a tracer is attached — as a
-    /// paired `StallBegin`/`StallEnd` interval on this core's track. All
-    /// baseline stall accounting flows through here so the trace timeline
-    /// reconciles exactly with [`StallBreakdown`].
-    fn stall(&mut self, cause: StallCause, end: u64, cycles: u64) {
-        if cycles == 0 {
-            return;
-        }
-        self.stats.stalls.add_cycles(cause, cycles);
-        let thread = self.thread_id as u32;
-        let track = Track::Core(thread);
-        self.probes
-            .stall(self.prof_pc, thread, track, cause, end, cycles);
-    }
-
-    /// This core's hardware-thread id.
-    pub fn thread_id(&self) -> usize {
-        self.thread_id
     }
 
     /// The core's current time (last retirement).
-    pub fn clock(&self) -> u64 {
+    fn clock(&self) -> u64 {
         self.last_commit
     }
 
-    /// Total committed instructions.
-    pub fn committed(&self) -> u64 {
-        self.committed_count
+    fn halted(&self) -> bool {
+        self.halted
+    }
+
+    fn counters(&self) -> Counters {
+        self.stats
     }
 
     /// Executes one dynamic instruction through the full pipeline model.
-    pub fn step(&mut self, mem: &mut MainMemory) -> Result<(), SimError> {
+    fn step(&mut self, shared: &mut CoreShared) -> Result<(), SimError> {
         if self.halted {
             return Err(SimError::Halted);
         }
@@ -211,7 +229,7 @@ impl O3Core {
         if is_ctl {
             self.stats.activity.bpred_lookups += 1;
         }
-        let info = station_step(&mut self.state, &self.stations, mem, None)?;
+        let info = station_step(&mut self.state, &self.stations, &mut shared.mem, None)?;
         debug_assert_eq!(info.pc, before_regs_pc);
         // A local copy: moving `info.dest` into the retirement record
         // straight from `info` costs an unaligned copy on every step.
@@ -409,8 +427,8 @@ impl O3Core {
         }
         self.last_commit = commit_t;
         self.rob.push_back(commit_t);
-        self.committed_count += 1;
-        if self.committed_count.is_multiple_of(4096) {
+        self.stats.committed += 1;
+        if self.stats.committed.is_multiple_of(4096) {
             // Nothing issues before the oldest possible in-flight fetch.
             let safe = self
                 .rob
@@ -430,16 +448,5 @@ impl O3Core {
             });
         }
         Ok(())
-    }
-
-    fn count_cache(&mut self, l1_hit: bool, l2_hit: bool) {
-        self.stats.activity.l1d_accesses += 1;
-        if !l1_hit {
-            self.stats.activity.l1d_misses += 1;
-            self.stats.activity.l2_accesses += 1;
-            if !l2_hit {
-                self.stats.activity.l2_misses += 1;
-            }
-        }
     }
 }

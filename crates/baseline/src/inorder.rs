@@ -94,16 +94,19 @@ impl InOrder {
         self.max_cycles = limit;
         self
     }
+}
 
-    /// Shared body of [`Machine::load`] / [`Machine::load_prepared`]:
-    /// mounts the program, adopting a caller-prepared [`StationTable`]
-    /// when one is supplied and lowering the text once otherwise.
-    fn load_with(
-        &mut self,
-        program: &Program,
-        stations: Option<&Arc<StationTable>>,
-        threads: usize,
-    ) {
+impl Machine for InOrder {
+    fn name(&self) -> String {
+        "inorder".to_string()
+    }
+
+    fn load(&mut self, program: &Program, threads: usize) {
+        let stations = Arc::new(StationTable::build(program.text_base(), program.text()));
+        self.load_prepared(program, &stations, threads);
+    }
+
+    fn load_prepared(&mut self, program: &Program, stations: &Arc<StationTable>, threads: usize) {
         let threads = threads.max(1);
         let program = Arc::new(program.clone());
         let mem = MainMemory::with_program(&program);
@@ -111,10 +114,7 @@ impl InOrder {
         self.probes.clear_commits();
         self.run = Some(InOrderRun {
             state: ArchState::new_thread(program.entry(), 0, threads),
-            stations: match stations {
-                Some(table) => Arc::clone(table),
-                None => Arc::new(StationTable::build(program.text_base(), program.text())),
-            },
+            stations: Arc::clone(stations),
             program,
             threads,
             mem,
@@ -136,20 +136,6 @@ impl InOrder {
             track: Track::Core(0),
             kind: EventKind::ThreadStart,
         });
-    }
-}
-
-impl Machine for InOrder {
-    fn name(&self) -> String {
-        "inorder".to_string()
-    }
-
-    fn load(&mut self, program: &Program, threads: usize) {
-        self.load_with(program, None, threads);
-    }
-
-    fn load_prepared(&mut self, program: &Program, stations: &Arc<StationTable>, threads: usize) {
-        self.load_with(program, Some(stations), threads);
     }
 
     fn step(&mut self) -> Result<StepOutcome, SimError> {

@@ -1,97 +1,19 @@
 //! The multicore out-of-order baseline machine.
 //!
-//! [`OooCpu`] instantiates one [`O3Core`](crate::core::O3Core) per hardware
-//! thread (up to `max_cores`, beyond which threads run in waves), each with
-//! a private L1 data cache, all backed by one shared L2 — the paper's
-//! 12-core baseline topology (§7.1).
+//! [`OooCpu`] runs one [`O3Core`](crate::core::O3Core) per hardware
+//! thread on [`diag_sim::Waves`] (up to `max_cores`, beyond which threads
+//! run in waves), each with a private L1 data cache, all backed by one
+//! shared L2 — the paper's 12-core baseline topology (§7.1).
 
-use std::cell::RefCell;
-use std::rc::Rc;
 use std::sync::Arc;
 
 use diag_asm::Program;
 use diag_isa::StationTable;
-use diag_mem::{MainMemory, PrivateCache, SharedLevel};
-use diag_sim::{Machine, Probes, RunStats, SimError, StepOutcome};
-use diag_trace::{Event, EventKind, Track};
+use diag_mem::{MainMemory, SharedLevel};
+use diag_sim::{Machine, Probes, RunStats, SimError, StepOutcome, Waves};
 
 use crate::config::O3Config;
-use crate::core::O3Core;
-
-/// In-flight execution state of one baseline run.
-#[derive(Debug)]
-struct OooRun {
-    program: Arc<Program>,
-    /// Text segment predecoded once at load; shared by every core of
-    /// every wave, so no wave launch or step touches the decoder.
-    stations: Arc<StationTable>,
-    threads: usize,
-    mem: MainMemory,
-    l2: Rc<RefCell<SharedLevel>>,
-    /// The machine's probes as of [`Machine::load`], cloned into each
-    /// wave's cores.
-    probes: Probes,
-    /// Cores of the current wave.
-    cores: Vec<O3Core>,
-    /// Aggregate statistics of completed waves.
-    stats: RunStats,
-    committed: u64,
-    /// First thread id not yet launched.
-    next_tid: usize,
-    wave_start: u64,
-    finish_time: u64,
-    halted: bool,
-}
-
-impl OooRun {
-    /// Launches the next wave of threads onto fresh cores.
-    fn launch_wave(&mut self, config: &Arc<O3Config>, max_cores: usize) {
-        let batch = max_cores.min(self.threads - self.next_tid);
-        let at = self.wave_start;
-        self.cores = (0..batch)
-            .map(|k| {
-                let l1d = PrivateCache::new(config.l1d, Rc::clone(&self.l2));
-                let mut core = O3Core::new(
-                    self.program.entry(),
-                    Arc::clone(&self.stations),
-                    Arc::clone(config),
-                    l1d,
-                    self.next_tid + k,
-                    self.threads,
-                    self.wave_start,
-                );
-                core.probes = self.probes.clone();
-                let thread = core.thread_id() as u32;
-                self.probes.emit(|| Event {
-                    cycle: at,
-                    thread,
-                    track: Track::Core(thread),
-                    kind: EventKind::ThreadStart,
-                });
-                core
-            })
-            .collect();
-        self.next_tid += batch;
-    }
-
-    /// Folds a finished wave's cores into the aggregate statistics.
-    fn finish_wave(&mut self) {
-        // The wave's launch time (`wave_start` is pushed forward inside
-        // the loop, so read the floor before the first core).
-        let floor = self.wave_start;
-        for core in &self.cores {
-            self.probes
-                .profiler()
-                .thread_span(core.thread_id() as u32, floor, core.clock());
-            self.committed += core.committed();
-            self.stats.activity += core.stats.activity;
-            self.stats.stalls += core.stats.stalls;
-            self.wave_start = self.wave_start.max(core.clock());
-        }
-        self.finish_time = self.finish_time.max(self.wave_start);
-        self.cores.clear();
-    }
-}
+use crate::core::{CoreShared, O3Core};
 
 /// The out-of-order multicore baseline.
 ///
@@ -113,9 +35,8 @@ impl OooRun {
 pub struct OooCpu {
     config: Arc<O3Config>,
     max_cores: usize,
-    run: Option<OooRun>,
-    last_stats: Option<RunStats>,
     probes: Probes,
+    run: Option<Waves<O3Core>>,
 }
 
 impl OooCpu {
@@ -130,9 +51,8 @@ impl OooCpu {
         OooCpu {
             config: Arc::new(config),
             max_cores,
-            run: None,
-            last_stats: None,
             probes: Probes::default(),
+            run: None,
         }
     }
 
@@ -146,52 +66,6 @@ impl OooCpu {
     pub fn config(&self) -> &O3Config {
         &self.config
     }
-
-    /// Statistics of the most recent run, if any.
-    pub fn last_stats(&self) -> Option<&RunStats> {
-        self.last_stats.as_ref()
-    }
-
-    /// Shared body of [`Machine::load`] / [`Machine::load_prepared`]:
-    /// mounts the program, adopting a caller-prepared [`StationTable`]
-    /// when one is supplied and lowering the text once otherwise.
-    fn load_with(
-        &mut self,
-        program: &Program,
-        stations: Option<&Arc<StationTable>>,
-        threads: usize,
-    ) {
-        let threads = threads.max(1);
-        let program = Arc::new(program.clone());
-        let mem = MainMemory::with_program(&program);
-        let l2 = SharedLevel::new(self.config.l2).into_shared();
-        self.last_stats = None;
-        self.probes.clear_commits();
-        let mut run = OooRun {
-            stations: match stations {
-                Some(table) => Arc::clone(table),
-                None => Arc::new(StationTable::build(program.text_base(), program.text())),
-            },
-            program,
-            threads,
-            mem,
-            l2,
-            probes: self.probes.clone(),
-            cores: Vec::new(),
-            stats: RunStats {
-                threads: threads as u64,
-                freq_ghz: self.config.freq_ghz,
-                ..RunStats::default()
-            },
-            committed: 0,
-            next_tid: 0,
-            wave_start: 0,
-            finish_time: 0,
-            halted: false,
-        };
-        run.launch_wave(&self.config, self.max_cores);
-        self.run = Some(run);
-    }
 }
 
 impl Machine for OooCpu {
@@ -200,68 +74,39 @@ impl Machine for OooCpu {
     }
 
     fn load(&mut self, program: &Program, threads: usize) {
-        self.load_with(program, None, threads);
+        let stations = Arc::new(StationTable::build(program.text_base(), program.text()));
+        self.load_prepared(program, &stations, threads);
     }
 
     fn load_prepared(&mut self, program: &Program, stations: &Arc<StationTable>, threads: usize) {
-        self.load_with(program, Some(stations), threads);
+        self.probes.clear_commits();
+        // The text is predecoded once and shared by every core of every
+        // wave, so no wave launch or step touches the decoder.
+        let shared = CoreShared {
+            entry: program.entry(),
+            stations: Arc::clone(stations),
+            cfg: Arc::clone(&self.config),
+            mem: MainMemory::with_program(program),
+            l2: SharedLevel::new(self.config.l2).into_shared(),
+        };
+        self.run = Some(Waves::start(
+            shared,
+            self.probes.clone(),
+            threads,
+            self.max_cores,
+            self.config.max_cycles,
+            self.config.freq_ghz,
+        ));
     }
 
     fn step(&mut self) -> Result<StepOutcome, SimError> {
-        let run = self.run.as_mut().ok_or(SimError::NotLoaded)?;
-        if run.halted {
-            return Err(SimError::NotLoaded);
-        }
-        let next = run
-            .cores
-            .iter()
-            .enumerate()
-            .filter(|(_, c)| !c.halted)
-            .min_by_key(|(_, c)| c.clock())
-            .map(|(i, _)| i);
-        if let Some(idx) = next {
-            run.cores[idx].step(&mut run.mem)?;
-            if run.cores[idx].clock() > self.config.max_cycles {
-                return Err(SimError::CycleLimit {
-                    limit: self.config.max_cycles,
-                });
-            }
-            return Ok(StepOutcome::Running);
-        }
-        run.finish_wave();
-        if run.next_tid < run.threads {
-            run.launch_wave(&self.config, self.max_cores);
-            Ok(StepOutcome::Running)
-        } else {
-            run.stats.cycles = run.finish_time;
-            run.stats.committed = run.committed;
-            run.stats.activity.busy_cycles = run.finish_time;
-            run.halted = true;
-            self.last_stats = Some(run.stats);
-            let _ = run.probes.tracer().flush();
-            Ok(StepOutcome::Halted)
-        }
+        self.run.as_mut().ok_or(SimError::NotLoaded)?.step()
     }
 
     fn stats(&self) -> RunStats {
-        if let Some(stats) = self.last_stats {
-            return stats;
-        }
-        let Some(run) = &self.run else {
-            return RunStats::default();
-        };
-        let mut stats = run.stats;
-        stats.committed = run.committed;
-        let mut clock = run.finish_time;
-        for core in &run.cores {
-            stats.activity += core.stats.activity;
-            stats.stalls += core.stats.stalls;
-            stats.committed += core.committed();
-            clock = clock.max(core.clock());
-        }
-        stats.cycles = clock;
-        stats.activity.busy_cycles = clock;
-        stats
+        self.run
+            .as_ref()
+            .map_or_else(RunStats::default, Waves::stats)
     }
 
     fn probes_mut(&mut self) -> Option<&mut Probes> {
@@ -269,7 +114,9 @@ impl Machine for OooCpu {
     }
 
     fn read_word(&self, addr: u32) -> u32 {
-        self.run.as_ref().map_or(0, |r| r.mem.read_u32(addr))
+        self.run
+            .as_ref()
+            .map_or(0, |run| run.shared().mem.read_u32(addr))
     }
 }
 

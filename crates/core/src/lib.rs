@@ -27,6 +27,6 @@ pub use cluster::Cluster;
 pub use config::{ConfigError, DiagConfig};
 pub use lane::{CommitTracker, LaneFile, LaneGeometry};
 pub use machine::Diag;
-pub use ring::{RingSim, RingStats};
+pub use ring::RingSim;
 pub use shared::SharedParts;
 pub use spec::{apply_override, MachineSpec, DEFAULT_OOO_CORES};

@@ -3,77 +3,19 @@
 //! [`Diag`] assembles the shared memory system, partitions clusters into
 //! dataflow rings according to the thread count (paper §7.2.1: one ring of
 //! all clusters for a single thread, "16-by-2" rings for multi-threaded
-//! runs), interleaves ring execution in time order so shared-resource
-//! contention (L1D banks, L2, DRAM channel, 512-bit bus) is modelled, and
-//! aggregates statistics.
+//! runs), and runs one thread per ring on [`diag_sim::Waves`], which
+//! interleaves ring execution in time order so shared-resource contention
+//! (L1D banks, L2, DRAM channel, 512-bit bus) is modelled, and aggregates
+//! statistics.
 
 use std::sync::Arc;
 
 use diag_asm::Program;
-use diag_mem::MainMemory;
-use diag_sim::{Machine, Probes, RunStats, SimError, StepOutcome};
-use diag_trace::{Event, EventKind, Track};
+use diag_sim::{Machine, Probes, RunStats, SimError, StepOutcome, Waves};
 
 use crate::config::DiagConfig;
 use crate::ring::RingSim;
 use crate::shared::SharedParts;
-
-/// In-flight execution state of one DiAG run (between
-/// [`Machine::load`] and the final [`Machine::step`]).
-#[derive(Debug)]
-struct DiagRun {
-    program: Arc<Program>,
-    threads: usize,
-    ring_count: usize,
-    clusters_per_ring: usize,
-    shared: SharedParts,
-    /// The machine's probes as of [`Machine::load`], cloned into each
-    /// wave's rings.
-    probes: Probes,
-    /// Rings of the current wave (empty only transiently).
-    rings: Vec<RingSim>,
-    /// Aggregate statistics of completed waves.
-    stats: RunStats,
-    committed: u64,
-    /// First thread id not yet launched.
-    next_tid: usize,
-    wave_start: u64,
-    wave_floor: u64,
-    finish_time: u64,
-    halted: bool,
-}
-
-impl DiagRun {
-    /// Launches the next wave of threads onto fresh rings.
-    fn launch_wave(&mut self, config: &Arc<DiagConfig>) {
-        let batch = self.ring_count.min(self.threads - self.next_tid);
-        self.rings = (0..batch)
-            .map(|k| {
-                let mut ring = RingSim::new(
-                    Arc::clone(&self.program),
-                    Arc::clone(config),
-                    self.clusters_per_ring,
-                    self.next_tid + k,
-                    self.threads,
-                    self.wave_start,
-                );
-                ring.probes = self.probes.clone();
-                ring
-            })
-            .collect();
-        let at = self.wave_start;
-        for ring in &self.rings {
-            let thread = ring.thread_id() as u32;
-            self.probes.emit(|| Event {
-                cycle: at,
-                thread,
-                track: Track::Control,
-                kind: EventKind::ThreadStart,
-            });
-        }
-        self.next_tid += batch;
-    }
-}
 
 /// A DiAG processor instance.
 ///
@@ -109,9 +51,8 @@ impl DiagRun {
 #[derive(Debug)]
 pub struct Diag {
     config: Arc<DiagConfig>,
-    run: Option<DiagRun>,
-    last_stats: Option<RunStats>,
     probes: Probes,
+    run: Option<Waves<RingSim>>,
 }
 
 impl Diag {
@@ -127,45 +68,14 @@ impl Diag {
         }
         Diag {
             config: Arc::new(config),
-            run: None,
-            last_stats: None,
             probes: Probes::default(),
+            run: None,
         }
     }
 
     /// The processor's configuration.
     pub fn config(&self) -> &DiagConfig {
         &self.config
-    }
-
-    /// Statistics of the most recent run, if any.
-    pub fn last_stats(&self) -> Option<&RunStats> {
-        self.last_stats.as_ref()
-    }
-
-    /// Folds a finished wave's rings into the aggregate statistics.
-    fn finish_wave(&self, run: &mut DiagRun) {
-        for ring in &run.rings {
-            run.probes.profiler().thread_span(
-                ring.thread_id() as u32,
-                run.wave_floor,
-                ring.clock(),
-            );
-            run.committed += ring.commit.committed();
-            run.stats.activity += ring.stats.activity;
-            run.stats.stalls += ring.stats.stalls;
-            // Resident-PE·cycles: a loaded cluster's PEs, register-lane
-            // segments, and decoder latches stay powered while resident
-            // (paper §7.3.1: register lanes and control are always
-            // powered; idle PEs are clock-gated).
-            run.stats.activity.pe_resident_cycles +=
-                (ring.max_resident_clusters() * self.config.pes_per_cluster) as u64
-                    * ring.clock().saturating_sub(run.wave_floor);
-            run.wave_start = run.wave_start.max(ring.clock());
-        }
-        run.finish_time = run.finish_time.max(run.wave_start);
-        run.wave_floor = run.wave_start;
-        run.rings.clear();
     }
 }
 
@@ -175,101 +85,29 @@ impl Machine for Diag {
     }
 
     fn load(&mut self, program: &Program, threads: usize) {
-        let threads = threads.max(1);
-        let program = Arc::new(program.clone());
-        let shared = SharedParts::new(&self.config, MainMemory::with_program(&program));
         self.probes.clear_commits();
-        self.last_stats = None;
-        let mut run = DiagRun {
-            threads,
-            ring_count: self.config.rings_for(threads),
-            clusters_per_ring: self.config.clusters_per_ring(threads),
-            program,
-            shared,
-            probes: self.probes.clone(),
-            rings: Vec::new(),
-            stats: RunStats {
-                threads: threads as u64,
-                freq_ghz: self.config.freq_ghz,
-                ..RunStats::default()
-            },
-            committed: 0,
-            next_tid: 0,
-            wave_start: 0,
-            wave_floor: 0,
-            finish_time: 0,
-            halted: false,
-        };
+        let shared = SharedParts::new(&self.config, Arc::new(program.clone()));
         // Threads beyond the ring capacity run in waves (the scheduling
         // table frees rings as threads halt; waves are a conservative
         // approximation).
-        run.launch_wave(&self.config);
-        self.run = Some(run);
+        self.run = Some(Waves::start(
+            shared,
+            self.probes.clone(),
+            threads,
+            self.config.rings_for(threads),
+            self.config.max_cycles,
+            self.config.freq_ghz,
+        ));
     }
 
     fn step(&mut self) -> Result<StepOutcome, SimError> {
-        let run = self.run.as_mut().ok_or(SimError::NotLoaded)?;
-        if run.halted {
-            return Err(SimError::NotLoaded);
-        }
-        // Advance the ring that is furthest behind, so shared
-        // busy-until state is updated in approximate time order.
-        let next = run
-            .rings
-            .iter_mut()
-            .filter(|r| !r.halted)
-            .min_by_key(|r| r.clock());
-        if let Some(ring) = next {
-            ring.step(&mut run.shared)?;
-            if ring.clock() > self.config.max_cycles {
-                return Err(SimError::CycleLimit {
-                    limit: self.config.max_cycles,
-                });
-            }
-            return Ok(StepOutcome::Running);
-        }
-        // Every ring of the wave has halted: fold it in and launch the
-        // next wave, or finish the run. Only this path needs the run
-        // detached from `self`.
-        let Some(mut run) = self.run.take() else {
-            return Err(SimError::NotLoaded);
-        };
-        self.finish_wave(&mut run);
-        let outcome = if run.next_tid < run.threads {
-            run.launch_wave(&self.config);
-            StepOutcome::Running
-        } else {
-            run.stats.cycles = run.finish_time;
-            run.stats.committed = run.committed;
-            run.stats.activity.busy_cycles = run.finish_time;
-            run.halted = true;
-            self.last_stats = Some(run.stats);
-            let _ = run.probes.tracer().flush();
-            StepOutcome::Halted
-        };
-        self.run = Some(run);
-        Ok(outcome)
+        self.run.as_mut().ok_or(SimError::NotLoaded)?.step()
     }
 
     fn stats(&self) -> RunStats {
-        if let Some(stats) = self.last_stats {
-            return stats;
-        }
-        let Some(run) = &self.run else {
-            return RunStats::default();
-        };
-        let mut stats = run.stats;
-        stats.committed = run.committed;
-        let mut clock = run.finish_time;
-        for ring in &run.rings {
-            stats.activity += ring.stats.activity;
-            stats.stalls += ring.stats.stalls;
-            stats.committed += ring.commit.committed();
-            clock = clock.max(ring.clock());
-        }
-        stats.cycles = clock;
-        stats.activity.busy_cycles = clock;
-        stats
+        self.run
+            .as_ref()
+            .map_or_else(RunStats::default, Waves::stats)
     }
 
     fn probes_mut(&mut self) -> Option<&mut Probes> {
@@ -277,7 +115,9 @@ impl Machine for Diag {
     }
 
     fn read_word(&self, addr: u32) -> u32 {
-        self.run.as_ref().map_or(0, |r| r.shared.mem.read_u32(addr))
+        self.run
+            .as_ref()
+            .map_or(0, |run| run.shared().mem.read_u32(addr))
     }
 }
 

@@ -22,7 +22,7 @@ use diag_asm::Program;
 use diag_isa::{decode, ArchReg, ExecKind, FuKind, Inst, Reg, Station, StationSlot, INST_BYTES};
 use diag_mem::{LaneLookup, MemLane, REGFILE_BEATS};
 use diag_sim::interp::{evaluate, MemEffect};
-use diag_sim::{Activity, Bucket, Probes, Retirement, SimError, StallBreakdown};
+use diag_sim::{Bucket, Counters, Probes, Retirement, SimError, Unit};
 use diag_trace::{Event, EventKind, StallCause, Track};
 
 use crate::cluster::Cluster;
@@ -43,15 +43,6 @@ pub(crate) fn reissue_at(st: &Station, start: u64) -> u64 {
         FuKind::IntDiv | FuKind::FpDiv => start + st.latency as u64,
         _ => start + 1,
     }
-}
-
-/// Per-ring statistics merged into the machine's [`diag_sim::RunStats`].
-#[derive(Debug, Clone, Copy, Default)]
-pub struct RingStats {
-    /// Component activity, summed into the machine's [`Activity`].
-    pub activity: Activity,
-    /// Stall-source cycles (§7.3.2 taxonomy).
-    pub stalls: StallBreakdown,
 }
 
 /// Which cluster of a ring holds each resident I-line.
@@ -141,8 +132,9 @@ pub struct RingSim {
     pub(crate) mem_floor: u64,
     /// Floor applied to every memory access after a `fence`.
     pub(crate) fence_floor: u64,
-    /// Statistics for this ring.
-    pub stats: RingStats,
+    /// Activity and stall counters of this ring; [`Unit::counters`] adds
+    /// the retirements and the resident PE·cycles.
+    pub(crate) stats: Counters,
     /// High-water mark of simultaneously resident I-lines (powered
     /// clusters), for the lane/leakage energy model (§7.3.1).
     pub(crate) max_resident: usize,
@@ -153,6 +145,8 @@ pub struct RingSim {
     /// [`diag_trace::EventKind::SegOccupancy`] events.
     pub(crate) seg_inflight: Vec<Vec<u64>>,
     pub(crate) thread_id: usize,
+    /// Cycle the ring's thread launched at.
+    start: u64,
     /// The machine's probes, cloned once at wave launch so the per-step
     /// hot loop performs no `Rc` refcount traffic.
     pub(crate) probes: Probes,
@@ -167,74 +161,6 @@ pub struct RingSim {
 }
 
 impl RingSim {
-    /// Creates a ring of `clusters` processing clusters running `program`
-    /// as hardware thread `thread_id` of `thread_count`.
-    pub fn new(
-        program: Arc<Program>,
-        config: Arc<DiagConfig>,
-        clusters: usize,
-        thread_id: usize,
-        thread_count: usize,
-        start_time: u64,
-    ) -> RingSim {
-        let ppc = config.pes_per_cluster;
-        let mut lanes = LaneFile::new();
-        lanes.set_value(Reg::A0.into(), thread_id as u32);
-        lanes.set_value(Reg::A1.into(), thread_count as u32);
-        lanes.set_value(
-            Reg::SP.into(),
-            diag_asm::STACK_TOP - (thread_id as u32) * diag_asm::STACK_STRIDE,
-        );
-        lanes.retime_all(start_time, 0);
-        let mut commit = CommitTracker::new(config.commit_width);
-        commit.advance_to(start_time);
-        let entry = program.entry();
-        RingSim {
-            geom: LaneGeometry::new(config.lane_buffer_interval, clusters * ppc),
-            clusters: (0..clusters)
-                .map(|_| Cluster::new(ppc, config.lsu_depth))
-                .collect(),
-            resident: Residency::default(),
-            alloc_rr: 0,
-            last_line: None,
-            loop_lines: diag_mem::FxHashSet::default(),
-            lanes,
-            commit,
-            memlane: MemLane::new(config.memlane_capacity),
-            simt_memlane: MemLane::new(config.memlane_capacity),
-            pc: entry,
-            halted: false,
-            time_floor: start_time,
-            redirect_pending: false,
-            mem_floor: start_time,
-            fence_floor: start_time,
-            stats: RingStats::default(),
-            max_resident: 0,
-            interrupt_taken: false,
-            seg_inflight: Vec::new(),
-            thread_id,
-            probes: Probes::default(),
-            region_cache: diag_mem::FxHashMap::default(),
-            program,
-            config,
-        }
-    }
-
-    /// This ring's hardware-thread id.
-    pub fn thread_id(&self) -> usize {
-        self.thread_id
-    }
-
-    /// The ring's current notion of time (last retirement).
-    pub fn clock(&self) -> u64 {
-        self.commit.last_commit()
-    }
-
-    /// High-water mark of simultaneously resident (powered) clusters.
-    pub fn max_resident_clusters(&self) -> usize {
-        self.max_resident
-    }
-
     /// Read an architectural register value (program-order exact).
     pub(crate) fn reg(&self, lane: ArchReg) -> u32 {
         self.lanes.value(lane)
@@ -249,7 +175,7 @@ impl RingSim {
     /// paired `StallBegin`/`StallEnd` interval on `track`. Every stall the
     /// ring accounts flows through here, which is what lets the
     /// stall-attribution timeline reconcile exactly with
-    /// [`StallBreakdown`].
+    /// [`diag_sim::StallBreakdown`].
     pub(crate) fn stall(&mut self, track: Track, cause: StallCause, end: u64, cycles: u64) {
         if cycles == 0 {
             return;
@@ -625,10 +551,96 @@ impl RingSim {
         }
         cycles
     }
+}
+
+impl Unit for RingSim {
+    type Shared = SharedParts;
+
+    fn track(_thread: u32) -> Track {
+        Track::Control
+    }
+
+    /// Starts hardware thread `thread_id` of `thread_count` on a ring of
+    /// the configuration's clusters per ring for that many threads.
+    fn launch(
+        shared: &SharedParts,
+        thread_id: usize,
+        thread_count: usize,
+        start_time: u64,
+        probes: Probes,
+    ) -> RingSim {
+        let program = Arc::clone(&shared.program);
+        let config = Arc::clone(&shared.config);
+        let clusters = config.clusters_per_ring(thread_count);
+        let ppc = config.pes_per_cluster;
+        let mut lanes = LaneFile::new();
+        lanes.set_value(Reg::A0.into(), thread_id as u32);
+        lanes.set_value(Reg::A1.into(), thread_count as u32);
+        lanes.set_value(
+            Reg::SP.into(),
+            diag_asm::STACK_TOP - (thread_id as u32) * diag_asm::STACK_STRIDE,
+        );
+        lanes.retime_all(start_time, 0);
+        let mut commit = CommitTracker::new(config.commit_width);
+        commit.advance_to(start_time);
+        let entry = program.entry();
+        RingSim {
+            geom: LaneGeometry::new(config.lane_buffer_interval, clusters * ppc),
+            clusters: (0..clusters)
+                .map(|_| Cluster::new(ppc, config.lsu_depth))
+                .collect(),
+            resident: Residency::default(),
+            alloc_rr: 0,
+            last_line: None,
+            loop_lines: diag_mem::FxHashSet::default(),
+            lanes,
+            commit,
+            memlane: MemLane::new(config.memlane_capacity),
+            simt_memlane: MemLane::new(config.memlane_capacity),
+            pc: entry,
+            halted: false,
+            time_floor: start_time,
+            redirect_pending: false,
+            mem_floor: start_time,
+            fence_floor: start_time,
+            stats: Counters::default(),
+            max_resident: 0,
+            interrupt_taken: false,
+            seg_inflight: Vec::new(),
+            thread_id,
+            start: start_time,
+            probes,
+            region_cache: diag_mem::FxHashMap::default(),
+            program,
+            config,
+        }
+    }
+
+    /// The ring's current notion of time (last retirement).
+    fn clock(&self) -> u64 {
+        self.commit.last_commit()
+    }
+
+    fn halted(&self) -> bool {
+        self.halted
+    }
+
+    fn counters(&self) -> Counters {
+        let mut counters = self.stats;
+        counters.committed = self.commit.committed();
+        // Resident PE·cycles: a loaded cluster's PEs, register-lane
+        // segments, and decoder latches stay powered while resident
+        // (paper §7.3.1: register lanes and control are always powered;
+        // idle PEs are clock-gated).
+        let resident_pes = (self.max_resident * self.config.pes_per_cluster) as u64;
+        counters.activity.pe_resident_cycles +=
+            resident_pes * self.clock().saturating_sub(self.start);
+        counters
+    }
 
     /// Executes one dynamic instruction (or one whole SIMT region when it
     /// begins at the current PC). Advances architectural and timing state.
-    pub fn step(&mut self, shared: &mut SharedParts) -> Result<(), SimError> {
+    fn step(&mut self, shared: &mut SharedParts) -> Result<(), SimError> {
         if self.halted {
             return Err(SimError::Halted);
         }
@@ -863,7 +875,6 @@ mod tests {
     use super::*;
     use crate::config::DiagConfig;
     use diag_asm::assemble;
-    use diag_mem::MainMemory;
 
     /// Stepping a halted ring must be a hard error in every build
     /// profile, not just a `debug_assert`: the parallel runner relies on
@@ -871,10 +882,8 @@ mod tests {
     #[test]
     fn step_after_halt_is_an_error() {
         let program = Arc::new(assemble("li t0, 1\necall\n").unwrap());
-        let config = Arc::new(DiagConfig::f4c2());
-        let mem = MainMemory::with_program(&program);
-        let mut shared = SharedParts::new(&config, mem);
-        let mut ring = RingSim::new(Arc::clone(&program), Arc::clone(&config), 2, 0, 1, 0);
+        let mut shared = SharedParts::new(&Arc::new(DiagConfig::f4c2()), program);
+        let mut ring = RingSim::launch(&shared, 0, 1, 0, Probes::default());
         while !ring.halted {
             ring.step(&mut shared).unwrap();
         }

@@ -4,7 +4,9 @@
 
 use std::cell::RefCell;
 use std::rc::Rc;
+use std::sync::Arc;
 
+use diag_asm::Program;
 use diag_mem::{Bus, CacheArray, CacheConfig, MainMemory, PrivateCache, SharedLevel};
 use diag_trace::Tracer;
 
@@ -14,9 +16,14 @@ use crate::config::DiagConfig;
 /// from the unified L2).
 const L1I_MISS_PENALTY: u64 = 18;
 
-/// The shared memory-side state of one DiAG processor.
+/// What every ring of one DiAG run shares: the program, the
+/// configuration and the memory side.
 #[derive(Debug)]
 pub struct SharedParts {
+    /// The program every ring runs.
+    pub program: Arc<Program>,
+    /// The processor configuration.
+    pub config: Arc<DiagConfig>,
     /// Functional memory (all architectural data).
     pub mem: MainMemory,
     /// Direct-mapped L1 instruction cache (§5.1.1).
@@ -31,8 +38,9 @@ pub struct SharedParts {
 }
 
 impl SharedParts {
-    /// Builds the shared memory system for `config`, preloading `mem`.
-    pub fn new(config: &DiagConfig, mem: MainMemory) -> SharedParts {
+    /// Builds the shared memory system for `config`, with `program`
+    /// loaded into main memory.
+    pub fn new(config: &Arc<DiagConfig>, program: Arc<Program>) -> SharedParts {
         // A configuration without an L2 (I4C2) backs the L1D directly with
         // DRAM: a degenerate one-line "L2" whose hits are impossible in
         // practice models that without a second code path.
@@ -46,7 +54,9 @@ impl SharedParts {
         let l2 = SharedLevel::new(l2_config).into_shared();
         let l1d = PrivateCache::new(config.l1d, Rc::clone(&l2));
         SharedParts {
-            mem,
+            mem: MainMemory::with_program(&program),
+            program,
+            config: Arc::clone(config),
             l1i: CacheArray::new(config.l1i),
             l1d,
             l2,
@@ -81,9 +91,14 @@ mod tests {
     use super::*;
     use crate::config::DiagConfig;
 
+    fn parts(config: DiagConfig) -> SharedParts {
+        let program = diag_asm::assemble("ecall\n").unwrap();
+        SharedParts::new(&Arc::new(config), Arc::new(program))
+    }
+
     #[test]
     fn iline_hit_is_fast() {
-        let mut shared = SharedParts::new(&DiagConfig::f4c2(), MainMemory::new());
+        let mut shared = parts(DiagConfig::f4c2());
         let off = Tracer::off();
         let (cold, wait) = shared.fetch_line(0x1000, 0, 0, &off);
         assert_eq!(cold, 1 + L1I_MISS_PENALTY + 1);
@@ -94,7 +109,7 @@ mod tests {
 
     #[test]
     fn bus_shared_between_fetches() {
-        let mut shared = SharedParts::new(&DiagConfig::f4c2(), MainMemory::new());
+        let mut shared = parts(DiagConfig::f4c2());
         shared.fetch_line(0x1000, 0, 0, &Tracer::off());
         shared.fetch_line(0x1040, 0, 1, &Tracer::off());
         // Two transfers, at least one contended.
@@ -103,7 +118,7 @@ mod tests {
 
     #[test]
     fn no_l2_config_still_builds() {
-        let shared = SharedParts::new(&DiagConfig::i4c2(), MainMemory::new());
+        let shared = parts(DiagConfig::i4c2());
         assert_eq!(shared.l2.borrow().stats().accesses, 0);
     }
 }

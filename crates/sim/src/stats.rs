@@ -184,6 +184,18 @@ impl AddAssign for Activity {
     }
 }
 
+/// What one execution unit — a DiAG ring or an out-of-order core — adds
+/// to its run's [`RunStats`].
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct Counters {
+    /// Component activity.
+    pub activity: Activity,
+    /// Stall-source cycles (§7.3.2 taxonomy).
+    pub stalls: StallBreakdown,
+    /// Retired instructions.
+    pub committed: u64,
+}
+
 /// Complete statistics for one program run on one machine.
 #[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub struct RunStats {
