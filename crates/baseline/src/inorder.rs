@@ -249,7 +249,6 @@ impl Machine for InOrder {
                 run.stats.cycles = run.total_cycles;
                 run.halted = true;
                 self.last_stats = Some(run.stats);
-                let _ = run.probes.tracer().flush();
                 return Ok(StepOutcome::Halted);
             }
         }

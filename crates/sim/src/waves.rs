@@ -148,7 +148,6 @@ impl<U: Unit> Waves<U> {
             Ok(StepOutcome::Running)
         } else {
             self.halted = true;
-            let _ = self.probes.tracer().flush();
             Ok(StepOutcome::Halted)
         }
     }

@@ -16,10 +16,10 @@
 //!   [`Tracer::emit`] takes a closure, so a disabled tracer costs one
 //!   branch and never constructs the event ([`NullSink`] call sites
 //!   compile to no-ops);
-//! * pluggable sinks ([`TraceSink`]): [`RingSink`] (bounded, keeps the
-//!   most recent events), [`VecSink`] (unbounded collection for
-//!   exporters), and [`JsonlSink`] (streaming line-oriented JSON with a
-//!   byte-deterministic encoding);
+//! * pluggable sinks ([`TraceSink`]): [`VecSink`] (unbounded
+//!   collection for the exporters and the line-oriented JSON writer,
+//!   [`Event::write_jsonl`]) and [`NullSink`] (connected but discarding,
+//!   for overhead tests);
 //! * exporters: Chrome/Perfetto trace-event JSON ([`perfetto`]), a
 //!   windowed text utilization heatmap ([`heatmap`]), and a
 //!   stall-attribution timeline ([`timeline`]) whose per-cause totals
@@ -59,4 +59,4 @@ mod sink;
 pub mod timeline;
 
 pub use event::{Event, EventKind, StallCause, Track};
-pub use sink::{JsonlSink, NullSink, RingSink, SharedSink, TraceSink, Tracer, VecSink};
+pub use sink::{NullSink, SharedSink, TraceSink, Tracer, VecSink};

@@ -7,9 +7,7 @@
 //! *connected-but-discarding* tracer be constructed for overhead tests.
 
 use std::cell::RefCell;
-use std::collections::VecDeque;
 use std::fmt;
-use std::io::{self, Write};
 use std::rc::Rc;
 
 use crate::event::Event;
@@ -21,11 +19,6 @@ use crate::event::Event;
 pub trait TraceSink {
     /// Accept one event.
     fn record(&mut self, event: &Event);
-
-    /// Flush any buffered output (streaming sinks). Default: no-op.
-    fn flush(&mut self) -> io::Result<()> {
-        Ok(())
-    }
 }
 
 /// A sink that discards every event. Useful for measuring the overhead of
@@ -73,110 +66,6 @@ impl TraceSink for VecSink {
     }
 }
 
-/// A bounded sink that keeps only the most recent `capacity` events —
-/// "flight recorder" mode for long runs.
-#[derive(Debug)]
-pub struct RingSink {
-    buf: VecDeque<Event>,
-    capacity: usize,
-    dropped: u64,
-}
-
-impl RingSink {
-    /// A sink retaining at most `capacity` events (`capacity` ≥ 1).
-    pub fn new(capacity: usize) -> Self {
-        Self {
-            buf: VecDeque::with_capacity(capacity.max(1)),
-            capacity: capacity.max(1),
-            dropped: 0,
-        }
-    }
-
-    /// The retained (most recent) events, oldest first.
-    pub fn events(&self) -> impl Iterator<Item = &Event> {
-        self.buf.iter()
-    }
-
-    /// How many events were evicted to stay within capacity.
-    pub fn dropped(&self) -> u64 {
-        self.dropped
-    }
-
-    /// Number of retained events.
-    pub fn len(&self) -> usize {
-        self.buf.len()
-    }
-
-    /// Whether no events are retained.
-    pub fn is_empty(&self) -> bool {
-        self.buf.is_empty()
-    }
-}
-
-impl TraceSink for RingSink {
-    fn record(&mut self, event: &Event) {
-        if self.buf.len() == self.capacity {
-            self.buf.pop_front();
-            self.dropped += 1;
-        }
-        self.buf.push_back(*event);
-    }
-}
-
-/// A streaming sink that writes one canonical JSONL line per event
-/// (see [`Event::write_jsonl`]); byte-deterministic across identical runs.
-pub struct JsonlSink<W: Write> {
-    writer: W,
-    line: String,
-    written: u64,
-}
-
-impl<W: Write> JsonlSink<W> {
-    /// Streams events into `writer`.
-    pub fn new(writer: W) -> Self {
-        Self {
-            writer,
-            line: String::with_capacity(128),
-            written: 0,
-        }
-    }
-
-    /// Number of lines written so far.
-    pub fn written(&self) -> u64 {
-        self.written
-    }
-
-    /// Flushes and returns the underlying writer.
-    pub fn into_inner(mut self) -> io::Result<W> {
-        self.writer.flush()?;
-        Ok(self.writer)
-    }
-}
-
-impl<W: Write> fmt::Debug for JsonlSink<W> {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.debug_struct("JsonlSink")
-            .field("written", &self.written)
-            .finish_non_exhaustive()
-    }
-}
-
-impl<W: Write> TraceSink for JsonlSink<W> {
-    fn record(&mut self, event: &Event) {
-        self.line.clear();
-        event.write_jsonl(&mut self.line);
-        self.line.push('\n');
-        // Simulation sinks treat I/O errors as fatal for the trace, not
-        // the run; an error poisons nothing but stops growing the file.
-        let _ = self.writer.write_all(self.line.as_bytes());
-        self.written += 1;
-    }
-
-    fn flush(&mut self) -> io::Result<()> {
-        self.writer.flush()
-    }
-}
-
 /// Shared handle to a dynamically-typed sink, as held by a [`Tracer`].
 pub type SharedSink = Rc<RefCell<dyn TraceSink>>;
 
@@ -216,14 +105,6 @@ impl Tracer {
         if let Some(sink) = &self.sink {
             let event = f();
             sink.borrow_mut().record(&event);
-        }
-    }
-
-    /// Flushes the underlying sink, if any.
-    pub fn flush(&self) -> io::Result<()> {
-        match &self.sink {
-            Some(sink) => sink.borrow_mut().flush(),
-            None => Ok(()),
         }
     }
 }
@@ -270,37 +151,9 @@ mod tests {
     }
 
     #[test]
-    fn ring_sink_keeps_most_recent() {
-        let mut ring = RingSink::new(3);
-        for c in 0..10 {
-            ring.record(&ev(c));
-        }
-        assert_eq!(ring.len(), 3);
-        assert_eq!(ring.dropped(), 7);
-        let kept: Vec<u64> = ring.events().map(|e| e.cycle).collect();
-        assert_eq!(kept, [7, 8, 9]);
-        assert!(!ring.is_empty());
-    }
-
-    #[test]
-    fn jsonl_sink_streams_lines() {
-        let mut sink = JsonlSink::new(Vec::new());
-        sink.record(&ev(1));
-        sink.record(&ev(2));
-        assert_eq!(sink.written(), 2);
-        let bytes = sink.into_inner().unwrap();
-        let text = String::from_utf8(bytes).unwrap();
-        let lines: Vec<&str> = text.lines().collect();
-        assert_eq!(lines.len(), 2);
-        assert!(lines[0].starts_with("{\"c\":1,"));
-        assert!(lines[1].starts_with("{\"c\":2,"));
-    }
-
-    #[test]
     fn null_sink_through_tracer() {
         let tracer = Tracer::to_sink(NullSink);
         assert!(tracer.enabled());
         tracer.emit(|| ev(0));
-        tracer.flush().unwrap();
     }
 }
