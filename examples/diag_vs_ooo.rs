@@ -18,6 +18,11 @@ use diag::workloads::{all, find, Params, Scale};
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     let args: Vec<String> = std::env::args().skip(1).collect();
+    run(&args)
+}
+
+/// Runs the comparison for the command-line `args`.
+fn run(args: &[String]) -> Result<(), Box<dyn std::error::Error>> {
     if args.first().map(String::as_str) == Some("list") {
         for w in all() {
             println!("{:<14} {:?}: {}", w.name, w.suite, w.description);
@@ -80,4 +85,11 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         e_ooo.total_nj() / e_diag.total_nj()
     );
     Ok(())
+}
+
+/// `main` without arguments; the test binary's own arguments are
+/// libtest's, not the example's.
+#[test]
+fn main_succeeds() -> Result<(), Box<dyn std::error::Error>> {
+    run(&[])
 }

@@ -79,3 +79,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     assert!(diag_stats.cycles <= ooo_stats.cycles);
     Ok(())
 }
+
+#[test]
+fn main_succeeds() -> Result<(), Box<dyn std::error::Error>> {
+    main()
+}

@@ -65,6 +65,11 @@ impl<M: Machine> Machine for Corrupt<M> {
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     let args: Vec<String> = std::env::args().skip(1).collect();
+    run(&args)
+}
+
+/// Runs the lockstep check for the command-line `args`.
+fn run(args: &[String]) -> Result<(), Box<dyn std::error::Error>> {
     let corrupt: Option<u64> = match args.iter().position(|a| a == "--corrupt") {
         Some(i) => match args.get(i + 1).and_then(|v| v.parse().ok()) {
             Some(n) => Some(n),
@@ -132,4 +137,11 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         }
     }
     Ok(())
+}
+
+/// `main` without arguments; the test binary's own arguments are
+/// libtest's, not the example's.
+#[test]
+fn main_succeeds() -> Result<(), Box<dyn std::error::Error>> {
+    run(&[])
 }

@@ -86,3 +86,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     assert!(s_reuse.cycles <= s_noreuse.cycles);
     Ok(())
 }
+
+#[test]
+fn main_succeeds() -> Result<(), Box<dyn std::error::Error>> {
+    main()
+}

@@ -51,3 +51,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     println!("stall sources: memory {m:.0}%, control {c:.0}%, structural {o:.0}%");
     Ok(())
 }
+
+#[test]
+fn main_succeeds() -> Result<(), Box<dyn std::error::Error>> {
+    main()
+}

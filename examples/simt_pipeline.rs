@@ -104,3 +104,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     assert!(s_pipe.cycles < s_seq.cycles);
     Ok(())
 }
+
+#[test]
+fn main_succeeds() -> Result<(), Box<dyn std::error::Error>> {
+    main()
+}

@@ -91,3 +91,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     println!("agree  : station {static_pc:#06x} refuted statically and trapped dynamically");
     Ok(())
 }
+
+#[test]
+fn main_succeeds() -> Result<(), Box<dyn std::error::Error>> {
+    main()
+}
