@@ -1,6 +1,7 @@
-//! Resources shared by every dataflow ring in a DiAG processor: main
-//! memory, the instruction cache, the banked L1 data cache, the unified
-//! L2, and the on-chip 512-bit bus (paper §5.1.3, §5.2).
+//! Resources shared by every dataflow ring in a DiAG processor: the
+//! program and configuration, main memory, the instruction cache, the
+//! banked L1 data cache, the unified L2, and the on-chip 512-bit bus
+//! (paper §5.1.3, §5.2).
 
 use std::cell::RefCell;
 use std::rc::Rc;
