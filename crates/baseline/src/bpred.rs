@@ -35,6 +35,26 @@ impl BranchPredictor {
     ///
     /// Panics if `entries` or `btb_entries` is not a power of two.
     pub fn new(entries: usize, btb_entries: usize, ras_depth: usize) -> BranchPredictor {
+        let mut bpred = BranchPredictor {
+            counters: Vec::new(),
+            history: 0,
+            btb: Vec::new(),
+            ras: Vec::new(),
+            ras_depth: 0,
+            lookups: 0,
+            mispredicts: 0,
+        };
+        bpred.renew(entries, btb_entries, ras_depth);
+        bpred
+    }
+
+    /// Turns this predictor into [`BranchPredictor::new`] of the given
+    /// sizes, keeping its tables' storage.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `entries` or `btb_entries` is not a power of two.
+    pub fn renew(&mut self, entries: usize, btb_entries: usize, ras_depth: usize) {
         assert!(
             entries.is_power_of_two(),
             "gshare entries must be a power of two"
@@ -43,15 +63,16 @@ impl BranchPredictor {
             btb_entries.is_power_of_two(),
             "BTB entries must be a power of two"
         );
-        BranchPredictor {
-            counters: vec![2; entries], // weakly taken
-            history: 0,
-            btb: vec![None; btb_entries],
-            ras: Vec::with_capacity(ras_depth),
-            ras_depth,
-            lookups: 0,
-            mispredicts: 0,
-        }
+        self.counters.clear();
+        self.counters.resize(entries, 2); // weakly taken
+        self.history = 0;
+        self.btb.clear();
+        self.btb.resize(btb_entries, None);
+        self.ras.clear();
+        self.ras.reserve(ras_depth);
+        self.ras_depth = ras_depth;
+        self.lookups = 0;
+        self.mispredicts = 0;
     }
 
     fn gshare_index(&self, pc: u32) -> usize {

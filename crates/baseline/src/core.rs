@@ -14,6 +14,7 @@ use std::collections::VecDeque;
 use std::rc::Rc;
 use std::sync::Arc;
 
+use diag_asm::Program;
 use diag_isa::{ExecKind, StationSlot, StationTable};
 use diag_mem::{CacheArray, LaneLookup, Lsu, MainMemory, MemLane, PrivateCache, SharedLevel};
 use diag_sim::interp::{station_step, ArchState, MemEffect};
@@ -35,6 +36,104 @@ pub struct CoreShared {
     /// Functional memory (all architectural data).
     pub(crate) mem: MainMemory,
     pub(crate) l2: Rc<RefCell<SharedLevel>>,
+}
+
+impl CoreShared {
+    /// The shared side of a run of `program` (predecoded as `stations`)
+    /// on cores of `cfg`.
+    pub(crate) fn new(
+        cfg: &Arc<O3Config>,
+        program: &Program,
+        stations: &Arc<StationTable>,
+    ) -> CoreShared {
+        CoreShared {
+            entry: program.entry(),
+            stations: Arc::clone(stations),
+            cfg: Arc::clone(cfg),
+            mem: MainMemory::with_program(program),
+            l2: SharedLevel::new(cfg.l2).into_shared(),
+        }
+    }
+
+    /// Turns this into [`CoreShared::new`] of the same arguments in
+    /// place: memory is renewed page by page, and the L2 is renewed in
+    /// O(1) when `cfg` keeps its geometry.
+    pub(crate) fn reload(
+        &mut self,
+        cfg: &Arc<O3Config>,
+        program: &Program,
+        stations: &Arc<StationTable>,
+    ) {
+        self.entry = program.entry();
+        self.stations = Arc::clone(stations);
+        self.cfg = Arc::clone(cfg);
+        self.mem.renew();
+        self.mem.load_program(program);
+        if *self.l2.borrow().config() == cfg.l2 {
+            self.l2.borrow_mut().renew();
+        } else {
+            self.l2 = SharedLevel::new(cfg.l2).into_shared();
+        }
+    }
+}
+
+/// The heap storage an [`O3Core`] leaves behind when its thread ends
+/// ([`Unit::Storage`]): the ROB and IQ queues, predictor tables,
+/// functional-unit and issue meters, L1 arrays, LSQ and store buffer.
+/// The next core launched takes it over and renews every piece.
+#[derive(Debug, Default)]
+pub struct CoreStorage {
+    parts: Option<CoreParts>,
+}
+
+/// The parts of an [`O3Core`] that own heap storage.
+#[derive(Debug)]
+struct CoreParts {
+    rob: VecDeque<u64>,
+    iq: VecDeque<u64>,
+    issue_bw: IssueMeter,
+    bpred: BranchPredictor,
+    fus: FuSet,
+    l1i: CacheArray,
+    l1d: PrivateCache,
+    lsq: Lsu,
+    store_buffer: MemLane,
+}
+
+impl CoreParts {
+    fn new(cfg: &O3Config, l2: &Rc<RefCell<SharedLevel>>) -> CoreParts {
+        CoreParts {
+            rob: VecDeque::with_capacity(cfg.rob_size),
+            iq: VecDeque::with_capacity(cfg.iq_size),
+            issue_bw: IssueMeter::new(cfg.width),
+            bpred: BranchPredictor::new(cfg.bpred_entries, cfg.btb_entries, cfg.ras_depth),
+            fus: FuSet::new(cfg),
+            l1i: CacheArray::new(diag_mem::CacheConfig::l1i_32k()),
+            l1d: PrivateCache::new(cfg.l1d, Rc::clone(l2)),
+            lsq: Lsu::new(cfg.lsq_size),
+            store_buffer: MemLane::new(cfg.lsq_size),
+        }
+    }
+
+    /// Turns these parts into [`CoreParts::new`] of the same arguments,
+    /// keeping every piece's storage (the L1D's only when `cfg` keeps
+    /// its geometry).
+    fn renew(&mut self, cfg: &O3Config, l2: &Rc<RefCell<SharedLevel>>) {
+        self.rob.clear();
+        self.iq.clear();
+        self.issue_bw.renew(cfg.width);
+        self.bpred
+            .renew(cfg.bpred_entries, cfg.btb_entries, cfg.ras_depth);
+        self.fus.renew(cfg);
+        self.l1i.renew();
+        if *self.l1d.config() == cfg.l1d {
+            self.l1d.renew(l2);
+        } else {
+            self.l1d = PrivateCache::new(cfg.l1d, Rc::clone(l2));
+        }
+        self.lsq.renew(cfg.lsq_size);
+        self.store_buffer.renew(cfg.lsq_size);
+    }
 }
 
 /// One out-of-order core running one hardware thread.
@@ -114,39 +213,60 @@ impl O3Core {
 
 impl Unit for O3Core {
     type Shared = CoreShared;
+    type Storage = CoreStorage;
 
     fn track(thread: u32) -> Track {
         Track::Core(thread)
     }
 
     /// Starts core `thread_id` of `threads`, with a private L1D backed by
-    /// the shared L2.
+    /// the shared L2. Every field is set here, and every part taken from
+    /// `storage` is renewed, so a core on used storage is a fresh core.
     fn launch(
         shared: &CoreShared,
         thread_id: usize,
         threads: usize,
         start_time: u64,
         probes: Probes,
+        storage: CoreStorage,
     ) -> O3Core {
         let cfg = Arc::clone(&shared.cfg);
+        let parts = match storage.parts {
+            Some(mut parts) => {
+                parts.renew(&cfg, &shared.l2);
+                parts
+            }
+            None => CoreParts::new(&cfg, &shared.l2),
+        };
+        let CoreParts {
+            rob,
+            iq,
+            issue_bw,
+            bpred,
+            fus,
+            l1i,
+            l1d,
+            lsq,
+            store_buffer,
+        } = parts;
         let entry = shared.entry;
         let state = ArchState::new_thread(entry, thread_id, threads);
         O3Core {
             state,
             reg_ready: [start_time; diag_isa::NUM_LANES],
-            rob: VecDeque::with_capacity(cfg.rob_size),
-            iq: VecDeque::with_capacity(cfg.iq_size),
+            rob,
+            iq,
             fetch_bw: Bandwidth::new(cfg.width),
-            issue_bw: IssueMeter::new(cfg.width),
+            issue_bw,
             commit_bw: Bandwidth::new(cfg.width),
             fetch_floor: start_time,
             last_commit: start_time,
-            bpred: BranchPredictor::new(cfg.bpred_entries, cfg.btb_entries, cfg.ras_depth),
-            fus: FuSet::new(&cfg),
-            l1i: CacheArray::new(diag_mem::CacheConfig::l1i_32k()),
-            l1d: PrivateCache::new(cfg.l1d, Rc::clone(&shared.l2)),
-            lsq: Lsu::new(cfg.lsq_size),
-            store_buffer: MemLane::new(cfg.lsq_size),
+            bpred,
+            fus,
+            l1i,
+            l1d,
+            lsq,
+            store_buffer,
             store_floor: start_time,
             fence_floor: start_time,
             halted: false,
@@ -157,6 +277,34 @@ impl Unit for O3Core {
             prof_pc: entry,
             cfg,
             stations: Arc::clone(&shared.stations),
+        }
+    }
+
+    fn retire(self) -> CoreStorage {
+        let O3Core {
+            rob,
+            iq,
+            issue_bw,
+            bpred,
+            fus,
+            l1i,
+            l1d,
+            lsq,
+            store_buffer,
+            ..
+        } = self;
+        CoreStorage {
+            parts: Some(CoreParts {
+                rob,
+                iq,
+                issue_bw,
+                bpred,
+                fus,
+                l1i,
+                l1d,
+                lsq,
+                store_buffer,
+            }),
         }
     }
 

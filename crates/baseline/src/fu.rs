@@ -38,6 +38,23 @@ impl FuPool {
         }
     }
 
+    /// Turns this pool into [`FuPool::new`]`(count, ..)` of its kind,
+    /// keeping its storage.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `count` is zero.
+    pub fn renew(&mut self, count: usize) {
+        assert!(count > 0, "a functional-unit pool needs at least one unit");
+        match self {
+            FuPool::Pipelined(meter) => meter.renew(count),
+            FuPool::Unpipelined { next_free } => {
+                next_free.clear();
+                next_free.resize(count, 0);
+            }
+        }
+    }
+
     /// Reserves a unit at or after `ready`; returns the issue time.
     pub fn issue(&mut self, ready: u64, latency: u64) -> u64 {
         match self {
@@ -89,6 +106,17 @@ impl FuSet {
             fp_div: FuPool::new(cfg.fp_divs, false),
             mem: FuPool::new(cfg.mem_ports, true),
         }
+    }
+
+    /// Turns this set into [`FuSet::new`]`(cfg)`, keeping its storage.
+    pub fn renew(&mut self, cfg: &crate::config::O3Config) {
+        self.int_alu.renew(cfg.int_alus);
+        self.int_mul.renew(cfg.int_muls);
+        self.int_div.renew(cfg.int_divs);
+        self.fp_alu.renew(cfg.fp_alus);
+        self.fp_mul.renew(cfg.fp_muls);
+        self.fp_div.renew(cfg.fp_divs);
+        self.mem.renew(cfg.mem_ports);
     }
 
     /// Reserves a unit of the right kind at or after `ready`.

@@ -108,8 +108,15 @@ impl Machine for InOrder {
 
     fn load_prepared(&mut self, program: &Program, stations: &Arc<StationTable>, threads: usize) {
         let threads = threads.max(1);
-        let program = Arc::new(program.clone());
-        let mem = MainMemory::with_program(&program);
+        // A machine that has run before keeps its memory pages and, for
+        // the same program, its copy of it.
+        let (program, mut mem) = match self.run.take() {
+            Some(run) if *run.program == *program => (run.program, run.mem),
+            Some(run) => (Arc::new(program.clone()), run.mem),
+            None => (Arc::new(program.clone()), MainMemory::new()),
+        };
+        mem.renew();
+        mem.load_program(&program);
         self.last_stats = None;
         self.probes.clear_commits();
         self.run = Some(InOrderRun {

@@ -20,7 +20,7 @@ mod util;
 
 pub use bpred::{BranchPredictor, Prediction};
 pub use config::O3Config;
-pub use core::O3Core;
+pub use core::{CoreStorage, O3Core};
 pub use fu::{FuPool, FuSet};
 pub use inorder::InOrder;
 pub use machine::OooCpu;

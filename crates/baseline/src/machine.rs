@@ -9,7 +9,6 @@ use std::sync::Arc;
 
 use diag_asm::Program;
 use diag_isa::StationTable;
-use diag_mem::{MainMemory, SharedLevel};
 use diag_sim::{Machine, Probes, RunStats, SimError, StepOutcome, Waves};
 
 use crate::config::O3Config;
@@ -66,6 +65,29 @@ impl OooCpu {
     pub fn config(&self) -> &O3Config {
         &self.config
     }
+
+    /// Whether a machine of `config` has this one's caches (L1D and L2
+    /// geometry; every core's L1I is the same), so [`OooCpu::reshape`]
+    /// can turn this one into it.
+    pub fn same_caches(&self, config: &O3Config) -> bool {
+        (config.l1d, config.l2) == (self.config.l1d, self.config.l2)
+    }
+
+    /// Turns this machine into `OooCpu::new(config, max_cores)` from its
+    /// next [`Machine::load`] on, keeping its probes, memory side and
+    /// core storage; a cache whose geometry changes is rebuilt at that
+    /// load ([`OooCpu::same_caches`] says whether none does).
+    ///
+    /// # Panics
+    ///
+    /// Panics if `max_cores` is zero.
+    pub fn reshape(&mut self, config: &O3Config, max_cores: usize) {
+        assert!(max_cores > 0, "need at least one core");
+        if *self.config != *config {
+            self.config = Arc::new(config.clone());
+        }
+        self.max_cores = max_cores;
+    }
 }
 
 impl Machine for OooCpu {
@@ -78,25 +100,24 @@ impl Machine for OooCpu {
         self.load_prepared(program, &stations, threads);
     }
 
+    /// Mounts `program`; a machine that has run before reloads in place
+    /// (see [`Machine::load`] on `Diag`).
     fn load_prepared(&mut self, program: &Program, stations: &Arc<StationTable>, threads: usize) {
         self.probes.clear_commits();
         // The text is predecoded once and shared by every core of every
         // wave, so no wave launch or step touches the decoder.
-        let shared = CoreShared {
-            entry: program.entry(),
-            stations: Arc::clone(stations),
-            cfg: Arc::clone(&self.config),
-            mem: MainMemory::with_program(program),
-            l2: SharedLevel::new(self.config.l2).into_shared(),
-        };
-        self.run = Some(Waves::start(
-            shared,
-            self.probes.clone(),
-            threads,
-            self.max_cores,
-            self.config.max_cycles,
-            self.config.freq_ghz,
-        ));
+        let (probes, width) = (self.probes.clone(), self.max_cores);
+        let (limit, freq) = (self.config.max_cycles, self.config.freq_ghz);
+        match &mut self.run {
+            Some(run) => {
+                run.shared_mut().reload(&self.config, program, stations);
+                run.restart(probes, threads, width, limit, freq);
+            }
+            None => {
+                let shared = CoreShared::new(&self.config, program, stations);
+                self.run = Some(Waves::start(shared, probes, threads, width, limit, freq));
+            }
+        }
     }
 
     fn step(&mut self) -> Result<StepOutcome, SimError> {

@@ -67,6 +67,16 @@ impl IssueMeter {
         }
     }
 
+    /// Turns this meter into [`IssueMeter::new`]`(width)`, keeping its
+    /// window.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `width` is zero or exceeds 255.
+    pub fn renew(&mut self, width: usize) {
+        self.port.renew(width);
+    }
+
     /// Reserves a slot at the earliest cycle ≥ `at` with spare capacity.
     pub fn next(&mut self, at: u64) -> u64 {
         self.port.next(at)

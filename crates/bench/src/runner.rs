@@ -1,5 +1,5 @@
-//! Shared experiment plumbing: machine construction and verified
-//! workload runs.
+//! Shared experiment plumbing: machine construction, the per-worker
+//! machine slot, and verified workload runs.
 
 use std::fmt;
 
@@ -13,13 +13,100 @@ pub use diag_core::MachineSpec;
 
 /// Constructs the machine a [`MachineSpec`] names. Specs are plain data
 /// (defined in `diag-core`, hashed by the pipeline, echoed over the
-/// wire); this is the one place they become simulators — the baselines
-/// live in `diag-baseline`, which the spec type itself cannot see.
+/// wire); this and [`MachineSlot`] are where they become simulators —
+/// the baselines live in `diag-baseline`, which the spec type itself
+/// cannot see.
 pub fn build_machine(spec: &MachineSpec) -> Box<dyn Machine> {
-    match spec {
-        MachineSpec::Diag(cfg) => Box::new(Diag::new(cfg.clone())),
-        MachineSpec::Ooo(cores) => Box::new(OooCpu::new(O3Config::aggressive_8wide(), *cores)),
-        MachineSpec::InOrder => Box::new(InOrder::new()),
+    match Held::build(spec) {
+        Held::Diag(m) => m,
+        Held::Ooo(m) => m,
+        Held::InOrder(m) => m,
+    }
+}
+
+/// One worker's machine, kept from run to run.
+///
+/// A sweep or serve worker asks its slot for each run's machine. The
+/// slot hands back the machine it holds, re-shaped to the new spec, when
+/// that is of the same family with the same cache geometry; the run's
+/// [`Machine::load`] then resets it in place. Otherwise it drops the
+/// held machine and builds the new one, so a worker holds at most one
+/// machine. A reused machine is indistinguishable from a fresh one (see
+/// DESIGN.md), so results do not depend on what ran before.
+#[derive(Debug, Default)]
+pub struct MachineSlot {
+    held: Option<Held>,
+    builds: u64,
+}
+
+/// The machine a [`MachineSlot`] holds.
+#[derive(Debug)]
+enum Held {
+    Diag(Box<Diag>),
+    Ooo(Box<OooCpu>),
+    InOrder(Box<InOrder>),
+}
+
+impl Held {
+    fn build(spec: &MachineSpec) -> Held {
+        match spec {
+            MachineSpec::Diag(cfg) => Held::Diag(Box::new(Diag::new(cfg.clone()))),
+            MachineSpec::Ooo(cores) => {
+                Held::Ooo(Box::new(OooCpu::new(O3Config::aggressive_8wide(), *cores)))
+            }
+            MachineSpec::InOrder => Held::InOrder(Box::default()),
+        }
+    }
+
+    /// Re-shapes this machine into `spec`'s if it is of the same family
+    /// with the same caches; returns whether it did.
+    fn reshape(&mut self, spec: &MachineSpec) -> bool {
+        match (self, spec) {
+            (Held::Diag(m), MachineSpec::Diag(cfg)) if m.same_caches(cfg) => m.reshape(cfg),
+            (Held::Ooo(m), MachineSpec::Ooo(cores)) => {
+                let cfg = O3Config::aggressive_8wide();
+                if !m.same_caches(&cfg) {
+                    return false;
+                }
+                m.reshape(&cfg, *cores);
+            }
+            (Held::InOrder(_), MachineSpec::InOrder) => {}
+            _ => return false,
+        }
+        true
+    }
+}
+
+impl MachineSlot {
+    /// An empty slot.
+    pub fn new() -> MachineSlot {
+        MachineSlot::default()
+    }
+
+    /// The machine `spec` names, ready for a [`Machine::load`]: the held
+    /// one re-shaped in place, or a fresh build.
+    pub fn machine(&mut self, spec: &MachineSpec) -> &mut dyn Machine {
+        if !self.held.as_mut().is_some_and(|held| held.reshape(spec)) {
+            // Drop the old machine before building: never hold two.
+            self.held = None;
+            self.builds += 1;
+        }
+        match self.held.get_or_insert_with(|| Held::build(spec)) {
+            Held::Diag(m) => m.as_mut(),
+            Held::Ooo(m) => m.as_mut(),
+            Held::InOrder(m) => m.as_mut(),
+        }
+    }
+
+    /// Machines this slot has built.
+    pub fn builds(&self) -> u64 {
+        self.builds
+    }
+
+    /// Drops the held machine, if any: after a panic its state is
+    /// unknown.
+    pub fn clear(&mut self) {
+        self.held = None;
     }
 }
 
@@ -173,12 +260,29 @@ pub fn run_verified_with(
     spec: &WorkloadSpec,
     params: &Params,
 ) -> Result<RunStats, RunError> {
+    run_verified_in(&mut MachineSlot::new(), session, machine_spec, spec, params)
+}
+
+/// [`run_verified_with`] on the machine `slot` holds (see
+/// [`MachineSlot::machine`]): a memo miss builds a machine only when the
+/// slot cannot re-shape the one it holds.
+///
+/// # Errors
+///
+/// As [`run_verified_with`].
+pub fn run_verified_in(
+    slot: &mut MachineSlot,
+    session: &Session,
+    machine_spec: &MachineSpec,
+    spec: &WorkloadSpec,
+    params: &Params,
+) -> Result<RunStats, RunError> {
     let key = run_key(spec.name, params, machine_spec);
     if let Some(stats) = session.cached_run(key) {
         return Ok(stats);
     }
-    let mut machine = build_machine(machine_spec);
-    let stats = run_built(session, machine_spec, spec, params, machine.as_mut())?;
+    let machine = slot.machine(machine_spec);
+    let stats = run_built(session, machine_spec, spec, params, machine)?;
     session.record_run(key, stats);
     Ok(stats)
 }
@@ -246,6 +350,35 @@ mod tests {
         let other = MachineSpec::InOrder;
         run_verified_with(&session, &other, &spec, &params).unwrap();
         assert_eq!(session.counters().runs.builds, 2);
+    }
+
+    #[test]
+    fn slot_reshapes_within_a_family_and_rebuilds_across() {
+        let mut slot = MachineSlot::new();
+        let f4c32 = DiagConfig::f4c32();
+        let mut narrow = f4c32.clone();
+        narrow.clusters = 8;
+        narrow.lsu_depth = 4;
+        let mut small_l2 = f4c32.clone();
+        small_l2.l2 = Some(diag_mem::CacheConfig::l2(1));
+        let specs = [
+            (MachineSpec::Diag(f4c32.clone()), 1),
+            (MachineSpec::Diag(narrow), 1),
+            (MachineSpec::Diag(small_l2), 2),
+            (MachineSpec::Ooo(12), 3),
+            (MachineSpec::Ooo(2), 3),
+            (MachineSpec::InOrder, 4),
+            (MachineSpec::InOrder, 4),
+            (MachineSpec::Diag(f4c32), 5),
+        ];
+        for (spec, builds) in specs {
+            let name = slot.machine(&spec).name();
+            assert_eq!(name, build_machine(&spec).name());
+            assert_eq!(slot.builds(), builds, "{}", spec.render());
+        }
+        slot.clear();
+        slot.machine(&MachineSpec::InOrder);
+        assert_eq!(slot.builds(), 6);
     }
 
     #[test]

@@ -10,10 +10,11 @@
 //!
 //! The unit of parallelism is one whole simulation run: machines are
 //! single-threaded internally (`Rc`-based cache hierarchies), so each
-//! worker constructs its machine privately and only the submission queue,
-//! the result slots, and the artifact [`Session`] are shared — workloads
-//! and station tables are prepared once per key no matter how many queued
-//! runs (or workers) want them.
+//! worker keeps its machine privately in a [`MachineSlot`], reusing it
+//! from run to run, and only the submission queue, the result slots, and
+//! the artifact [`Session`] are shared — workloads and station tables are
+//! prepared once per key no matter how many queued runs (or workers) want
+//! them.
 //!
 //! # Examples
 //!
@@ -41,13 +42,14 @@ use diag_sim::RunStats;
 use diag_telemetry::{Counter, Histogram, Registry};
 use diag_workloads::{Params, WorkloadSpec};
 
-use crate::runner::{run_verified_with, MachineSpec, RunError};
+use crate::runner::{run_verified_in, MachineSlot, MachineSpec, RunError};
 
 /// Host-side worker accounting for one sweep, registered under
 /// `diag_sweep_*` in a caller-provided [`Registry`]: total busy vs idle
 /// worker nanoseconds, per-run wall time, per-run host nanoseconds per
-/// committed guest instruction, and an ok/error outcome tally. Metrics
-/// accumulate across sweeps that share a registry.
+/// committed guest instruction, an ok/error outcome tally, and the
+/// machines the workers built. Metrics accumulate across sweeps that
+/// share a registry.
 #[derive(Debug)]
 pub struct SweepMetrics {
     busy_ns: Counter,
@@ -56,6 +58,7 @@ pub struct SweepMetrics {
     ns_per_instr: Histogram,
     ok: Counter,
     err: Counter,
+    machine_builds: Counter,
 }
 
 impl SweepMetrics {
@@ -68,6 +71,7 @@ impl SweepMetrics {
             ns_per_instr: registry.histogram("diag_sweep_run_ns_per_instr", &[]),
             ok: registry.counter("diag_sweep_runs_total", &[("outcome", "ok")]),
             err: registry.counter("diag_sweep_runs_total", &[("outcome", "error")]),
+            machine_builds: registry.counter("diag_sweep_machine_builds_total", &[]),
         }
     }
 
@@ -85,9 +89,11 @@ impl SweepMetrics {
     }
 
     /// Accounts one worker's full lifetime: whatever was not spent in
-    /// runs was spent waiting on the queue (or on shared preparation).
-    fn observe_worker(&self, lifetime_ns: u64, busy_ns: u64) {
+    /// runs was spent waiting on the queue (or on shared preparation);
+    /// `slot` counted the machines it built.
+    fn observe_worker(&self, lifetime_ns: u64, busy_ns: u64, slot: &MachineSlot) {
         self.idle_ns.add(lifetime_ns.saturating_sub(busy_ns));
+        self.machine_builds.add(slot.builds());
     }
 }
 
@@ -233,8 +239,10 @@ pub fn default_jobs() -> usize {
 /// Executes `runs` on up to `jobs` worker threads, returning one result
 /// per run **in submission order**. Workers pull indices from a shared
 /// atomic counter, so scheduling is dynamic but the output ordering (and
-/// every simulation itself — machines are deterministic) is not affected
-/// by the job count. All workers prepare through the shared `session`,
+/// every simulation itself — machines are deterministic, and a reused
+/// machine runs exactly like a fresh one) is not affected by the job
+/// count. Each worker keeps one [`MachineSlot`] for all its runs. All
+/// workers prepare through the shared `session`,
 /// so concurrent runs of the same workload block on one assembly instead
 /// of duplicating it. A panicking run is caught and reported as
 /// [`RunError::Panicked`] without poisoning the rest of the sweep.
@@ -259,13 +267,13 @@ pub fn run_sweep_metered(
     let jobs = jobs.clamp(1, runs.len().max(1));
     if jobs == 1 {
         let born = metrics.map(|_| Instant::now());
-        let mut busy = 0u64;
+        let (mut busy, mut slot) = (0u64, MachineSlot::new());
         let results = runs
             .iter()
-            .map(|run| run_one_metered(session, run, metrics, &mut busy))
+            .map(|run| run_one_metered(&mut slot, session, run, metrics, &mut busy))
             .collect();
         if let (Some(m), Some(born)) = (metrics, born) {
-            m.observe_worker(ns_since(born), busy);
+            m.observe_worker(ns_since(born), busy, &slot);
         }
         return results;
     }
@@ -276,18 +284,18 @@ pub fn run_sweep_metered(
         for _ in 0..jobs {
             scope.spawn(|| {
                 let born = metrics.map(|_| Instant::now());
-                let mut busy = 0u64;
+                let (mut busy, mut slot) = (0u64, MachineSlot::new());
                 loop {
                     let i = next.fetch_add(1, Ordering::Relaxed);
                     let Some(run) = runs.get(i) else { break };
-                    let result = run_one_metered(session, run, metrics, &mut busy);
+                    let result = run_one_metered(&mut slot, session, run, metrics, &mut busy);
                     // A sweep worker never panics while holding the lock
                     // (`run_one` catches panics), but recover anyway: the
                     // slot is write-only here.
                     *slots[i].lock().unwrap_or_else(|p| p.into_inner()) = Some(result);
                 }
                 if let (Some(m), Some(born)) = (metrics, born) {
-                    m.observe_worker(ns_since(born), busy);
+                    m.observe_worker(ns_since(born), busy, &slot);
                 }
             });
         }
@@ -303,34 +311,47 @@ pub fn run_sweep_metered(
         .collect()
 }
 
-/// One run with optional accounting; adds the run's wall time to the
-/// calling worker's `busy` tally.
+/// One run on the worker's `slot` with optional accounting; adds the
+/// run's wall time to the calling worker's `busy` tally.
 fn run_one_metered(
+    slot: &mut MachineSlot,
     session: &Session,
     run: &SweepRun,
     metrics: Option<&SweepMetrics>,
     busy: &mut u64,
 ) -> Result<RunStats, RunError> {
     let Some(m) = metrics else {
-        return run_one(session, run);
+        return run_one_in(slot, session, run);
     };
     let t0 = Instant::now();
-    let result = run_one(session, run);
+    let result = run_one_in(slot, session, run);
     let host_ns = ns_since(t0);
     *busy = busy.saturating_add(host_ns);
     m.observe(host_ns, &result);
     result
 }
 
-/// Executes one [`SweepRun`] against `session`, catching panics as
-/// [`RunError::Panicked`] — the same per-run behaviour a sweep worker
+/// Executes one [`SweepRun`] against `session` on a fresh machine,
+/// catching panics as [`RunError::Panicked`] (see [`run_one_in`]).
+pub fn run_one(session: &Session, run: &SweepRun) -> Result<RunStats, RunError> {
+    run_one_in(&mut MachineSlot::new(), session, run)
+}
+
+/// Executes one [`SweepRun`] against `session` on the machine `slot`
+/// holds, catching panics as [`RunError::Panicked`] and dropping the
+/// slot's machine after one — the same per-run behaviour a sweep worker
 /// has, exposed for callers (like `diag-serve`) that schedule runs
 /// themselves but want identical failure semantics.
-pub fn run_one(session: &Session, run: &SweepRun) -> Result<RunStats, RunError> {
+pub fn run_one_in(
+    slot: &mut MachineSlot,
+    session: &Session,
+    run: &SweepRun,
+) -> Result<RunStats, RunError> {
     catch_unwind(AssertUnwindSafe(|| {
-        run_verified_with(session, &run.machine, &run.spec, &run.params)
+        run_verified_in(slot, session, &run.machine, &run.spec, &run.params)
     }))
     .unwrap_or_else(|payload| {
+        slot.clear();
         let message = payload
             .downcast_ref::<&str>()
             .map(|s| s.to_string())
@@ -431,6 +452,29 @@ mod tests {
             .find(|(k, _)| k.name() == "diag_sweep_run_ns_per_instr")
             .expect("per-instr histogram");
         assert_eq!(per_instr.count, 4);
+    }
+
+    #[test]
+    fn a_tune_grid_sweep_on_one_worker_builds_one_machine() {
+        // The default grid varies clusters, ring segmentation, lane
+        // buffering and LSU depth, never the caches: one worker re-shapes
+        // its one machine for all 36 points.
+        let registry = Registry::new();
+        let metrics = SweepMetrics::new(&registry);
+        let spec = find("nn").unwrap();
+        let mut sweep = Sweep::new();
+        for machine in crate::tune::default_grid() {
+            sweep.add(machine, spec, Params::tiny());
+        }
+        let results = sweep.execute_metered(&Session::in_memory(), 1, &metrics);
+        assert!(results.failures().is_empty());
+        let snap = registry.snapshot();
+        let (_, builds) = snap
+            .counters
+            .iter()
+            .find(|(k, _)| k.name() == "diag_sweep_machine_builds_total")
+            .expect("machine build counter");
+        assert_eq!(*builds, 1);
     }
 
     #[test]

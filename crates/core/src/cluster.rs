@@ -63,6 +63,21 @@ impl Cluster {
         }
     }
 
+    /// Turns this cluster into [`Cluster::new`]`(pes, lsu_depth)`,
+    /// keeping its station, slot, LSU and line-buffer storage.
+    pub fn renew(&mut self, pes: usize, lsu_depth: usize) {
+        self.line_addr = None;
+        self.stations.clear();
+        self.stations.resize(pes, StationSlot::Empty);
+        self.decode_ready = 0;
+        self.decoded_slots = 0;
+        self.slot_busy.clear();
+        self.slot_busy.resize(pes, 0);
+        self.last_commit = 0;
+        self.lsu.renew(lsu_depth);
+        self.line_buf.clear();
+    }
+
     /// Whether `line` is held in the cluster's line buffer; a hit promotes
     /// it to most-recently-used.
     pub fn line_buf_hit(&mut self, line: u32) -> bool {

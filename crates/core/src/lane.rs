@@ -24,7 +24,7 @@ pub struct LaneGeometry {
     /// Buffered segments around the ring.
     segments: usize,
     /// Segment of each slot in `0..ring_slots`.
-    segment: Box<[u32]>,
+    segment: Vec<u32>,
 }
 
 impl LaneGeometry {
@@ -35,17 +35,31 @@ impl LaneGeometry {
     ///
     /// Panics if either argument is zero.
     pub fn new(buffer_interval: usize, ring_slots: usize) -> LaneGeometry {
+        let mut geom = LaneGeometry {
+            ring_slots: 0,
+            segments: 0,
+            segment: Vec::new(),
+        };
+        geom.renew(buffer_interval, ring_slots);
+        geom
+    }
+
+    /// Turns this geometry into [`LaneGeometry::new`]`(buffer_interval,
+    /// ring_slots)`, keeping the segment table's storage.
+    ///
+    /// # Panics
+    ///
+    /// Panics if either argument is zero.
+    pub fn renew(&mut self, buffer_interval: usize, ring_slots: usize) {
         assert!(
             buffer_interval > 0 && ring_slots > 0,
             "lane geometry needs a positive buffer interval and ring size"
         );
-        LaneGeometry {
-            ring_slots,
-            segments: ring_slots.div_ceil(buffer_interval),
-            segment: (0..ring_slots)
-                .map(|slot| (slot / buffer_interval) as u32)
-                .collect(),
-        }
+        self.ring_slots = ring_slots;
+        self.segments = ring_slots.div_ceil(buffer_interval);
+        self.segment.clear();
+        self.segment
+            .extend((0..ring_slots).map(|slot| (slot / buffer_interval) as u32));
     }
 
     /// Total PE slots in the ring.

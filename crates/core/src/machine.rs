@@ -77,6 +77,32 @@ impl Diag {
     pub fn config(&self) -> &DiagConfig {
         &self.config
     }
+
+    /// Whether a machine of `config` has this one's caches (L1I, L1D and
+    /// L2 geometry), so [`Diag::reshape`] can turn this one into it.
+    pub fn same_caches(&self, config: &DiagConfig) -> bool {
+        (config.l1i, config.l1d, config.l2) == (self.config.l1i, self.config.l1d, self.config.l2)
+    }
+
+    /// Turns this machine into `Diag::new(config)` from its next
+    /// [`Machine::load`] on, keeping its probes, memory side and ring
+    /// storage. Anything may change — clusters, ring segmentation, lane
+    /// buffering, LSU depth — and a cache whose geometry changes is
+    /// rebuilt at that load; [`Diag::same_caches`] says whether none
+    /// does.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the configuration is internally inconsistent
+    /// (see [`DiagConfig::validate`]).
+    pub fn reshape(&mut self, config: &DiagConfig) {
+        if let Err(e) = config.validate() {
+            panic!("invalid DiagConfig {:?}: {e}", config.name);
+        }
+        if *self.config != *config {
+            self.config = Arc::new(config.clone());
+        }
+    }
 }
 
 impl Machine for Diag {
@@ -84,20 +110,26 @@ impl Machine for Diag {
         format!("diag-{}", self.config.name.to_lowercase())
     }
 
+    /// Mounts `program`. A machine that has run before reloads in place:
+    /// its memory side is renewed and its rings relaunch on the storage
+    /// the last run left, so the load costs what that run touched.
     fn load(&mut self, program: &Program, threads: usize) {
         self.probes.clear_commits();
-        let shared = SharedParts::new(&self.config, Arc::new(program.clone()));
         // Threads beyond the ring capacity run in waves (the scheduling
         // table frees rings as threads halt; waves are a conservative
         // approximation).
-        self.run = Some(Waves::start(
-            shared,
-            self.probes.clone(),
-            threads,
-            self.config.rings_for(threads),
-            self.config.max_cycles,
-            self.config.freq_ghz,
-        ));
+        let (probes, width) = (self.probes.clone(), self.config.rings_for(threads));
+        let (limit, freq) = (self.config.max_cycles, self.config.freq_ghz);
+        match &mut self.run {
+            Some(run) => {
+                run.shared_mut().reload(&self.config, program);
+                run.restart(probes, threads, width, limit, freq);
+            }
+            None => {
+                let shared = SharedParts::new(&self.config, Arc::new(program.clone()));
+                self.run = Some(Waves::start(shared, probes, threads, width, limit, freq));
+            }
+        }
     }
 
     fn step(&mut self) -> Result<StepOutcome, SimError> {

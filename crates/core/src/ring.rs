@@ -99,6 +99,24 @@ impl Residency {
     }
 }
 
+/// The heap storage a [`RingSim`] leaves behind when its thread ends
+/// ([`Unit::Storage`]): cluster arenas (with their LSU windows), the lane
+/// geometry table, the residency, loop-line and region maps, the memory
+/// lanes and the segment rows. The next ring launched takes it over and
+/// clears it, so later waves and runs rebuild none of it.
+#[derive(Debug, Default)]
+pub struct RingStorage {
+    clusters: Vec<Cluster>,
+    spare_clusters: Vec<Cluster>,
+    geom: Option<LaneGeometry>,
+    resident: Residency,
+    loop_lines: diag_mem::FxHashSet<u32>,
+    memlane: MemLane,
+    simt_memlane: MemLane,
+    seg_inflight: Vec<Vec<u64>>,
+    region_cache: diag_mem::FxHashMap<u32, Option<Rc<crate::simt::CachedRegion>>>,
+}
+
 /// One dataflow ring executing one hardware thread.
 #[derive(Debug)]
 pub struct RingSim {
@@ -106,6 +124,9 @@ pub struct RingSim {
     pub(crate) config: Arc<DiagConfig>,
     pub(crate) geom: LaneGeometry,
     pub(crate) clusters: Vec<Cluster>,
+    /// Clusters of the storage beyond this ring's, kept for later
+    /// launches of larger rings.
+    spare_clusters: Vec<Cluster>,
     pub(crate) resident: Residency,
     pub(crate) alloc_rr: usize,
     /// Last sequentially-loaded line and the time its bus transport ended,
@@ -555,24 +576,66 @@ impl RingSim {
 
 impl Unit for RingSim {
     type Shared = SharedParts;
+    type Storage = RingStorage;
 
     fn track(_thread: u32) -> Track {
         Track::Control
     }
 
     /// Starts hardware thread `thread_id` of `thread_count` on a ring of
-    /// the configuration's clusters per ring for that many threads.
+    /// the configuration's clusters per ring for that many threads. Every
+    /// field is set here, and every piece of `storage` is cleared, so a
+    /// ring on used storage is a fresh ring.
     fn launch(
         shared: &SharedParts,
         thread_id: usize,
         thread_count: usize,
         start_time: u64,
         probes: Probes,
+        storage: RingStorage,
     ) -> RingSim {
+        let RingStorage {
+            mut clusters,
+            mut spare_clusters,
+            geom,
+            mut resident,
+            mut loop_lines,
+            mut memlane,
+            mut simt_memlane,
+            mut seg_inflight,
+            mut region_cache,
+        } = storage;
         let program = Arc::clone(&shared.program);
         let config = Arc::clone(&shared.config);
-        let clusters = config.clusters_per_ring(thread_count);
+        let ring = config.clusters_per_ring(thread_count);
         let ppc = config.pes_per_cluster;
+        // Spare clusters are renewed too, so one that stays idle gives
+        // its LSU window back (see `PortMeter::renew`).
+        for cluster in clusters.iter_mut().chain(&mut spare_clusters) {
+            cluster.renew(ppc, config.lsu_depth);
+        }
+        if clusters.len() > ring {
+            spare_clusters.extend(clusters.drain(ring..));
+        }
+        while clusters.len() < ring {
+            let cluster = spare_clusters.pop();
+            clusters.push(cluster.unwrap_or_else(|| Cluster::new(ppc, config.lsu_depth)));
+        }
+        let geom = match geom {
+            Some(mut geom) => {
+                geom.renew(config.lane_buffer_interval, ring * ppc);
+                geom
+            }
+            None => LaneGeometry::new(config.lane_buffer_interval, ring * ppc),
+        };
+        resident.clear();
+        loop_lines.clear();
+        memlane.renew(config.memlane_capacity);
+        simt_memlane.renew(config.memlane_capacity);
+        for row in &mut seg_inflight {
+            row.clear();
+        }
+        region_cache.clear();
         let mut lanes = LaneFile::new();
         lanes.set_value(Reg::A0.into(), thread_id as u32);
         lanes.set_value(Reg::A1.into(), thread_count as u32);
@@ -585,18 +648,17 @@ impl Unit for RingSim {
         commit.advance_to(start_time);
         let entry = program.entry();
         RingSim {
-            geom: LaneGeometry::new(config.lane_buffer_interval, clusters * ppc),
-            clusters: (0..clusters)
-                .map(|_| Cluster::new(ppc, config.lsu_depth))
-                .collect(),
-            resident: Residency::default(),
+            geom,
+            clusters,
+            spare_clusters,
+            resident,
             alloc_rr: 0,
             last_line: None,
-            loop_lines: diag_mem::FxHashSet::default(),
+            loop_lines,
             lanes,
             commit,
-            memlane: MemLane::new(config.memlane_capacity),
-            simt_memlane: MemLane::new(config.memlane_capacity),
+            memlane,
+            simt_memlane,
             pc: entry,
             halted: false,
             time_floor: start_time,
@@ -606,13 +668,39 @@ impl Unit for RingSim {
             stats: Counters::default(),
             max_resident: 0,
             interrupt_taken: false,
-            seg_inflight: Vec::new(),
+            seg_inflight,
             thread_id,
             start: start_time,
             probes,
-            region_cache: diag_mem::FxHashMap::default(),
+            region_cache,
             program,
             config,
+        }
+    }
+
+    fn retire(self) -> RingStorage {
+        let RingSim {
+            clusters,
+            spare_clusters,
+            geom,
+            resident,
+            loop_lines,
+            memlane,
+            simt_memlane,
+            seg_inflight,
+            region_cache,
+            ..
+        } = self;
+        RingStorage {
+            clusters,
+            spare_clusters,
+            geom: Some(geom),
+            resident,
+            loop_lines,
+            memlane,
+            simt_memlane,
+            seg_inflight,
+            region_cache,
         }
     }
 
@@ -883,7 +971,7 @@ mod tests {
     fn step_after_halt_is_an_error() {
         let program = Arc::new(assemble("li t0, 1\necall\n").unwrap());
         let mut shared = SharedParts::new(&Arc::new(DiagConfig::f4c2()), program);
-        let mut ring = RingSim::launch(&shared, 0, 1, 0, Probes::default());
+        let mut ring = RingSim::launch(&shared, 0, 1, 0, Probes::default(), RingStorage::default());
         while !ring.halted {
             ring.step(&mut shared).unwrap();
         }

@@ -42,17 +42,7 @@ impl SharedParts {
     /// Builds the shared memory system for `config`, with `program`
     /// loaded into main memory.
     pub fn new(config: &Arc<DiagConfig>, program: Arc<Program>) -> SharedParts {
-        // A configuration without an L2 (I4C2) backs the L1D directly with
-        // DRAM: a degenerate one-line "L2" whose hits are impossible in
-        // practice models that without a second code path.
-        let l2_config = config.l2.unwrap_or(CacheConfig {
-            size_bytes: 64,
-            line_bytes: 64,
-            ways: 1,
-            hit_latency: 0,
-            banks: 1,
-        });
-        let l2 = SharedLevel::new(l2_config).into_shared();
+        let l2 = SharedLevel::new(l2_config(config)).into_shared();
         let l1d = PrivateCache::new(config.l1d, Rc::clone(&l2));
         SharedParts {
             mem: MainMemory::with_program(&program),
@@ -63,6 +53,36 @@ impl SharedParts {
             l2,
             bus: Bus::new(),
         }
+    }
+
+    /// Turns this memory side into [`SharedParts::new`]`(config,
+    /// program)` in place: memory is renewed page by page, and every
+    /// cache whose geometry `config` keeps is renewed in O(1) instead of
+    /// rebuilt. The program is cloned only if it differs from the one
+    /// held.
+    pub fn reload(&mut self, config: &Arc<DiagConfig>, program: &Program) {
+        if *self.program != *program {
+            self.program = Arc::new(program.clone());
+        }
+        self.config = Arc::clone(config);
+        self.mem.renew();
+        self.mem.load_program(&self.program);
+        if *self.l1i.config() == config.l1i {
+            self.l1i.renew();
+        } else {
+            self.l1i = CacheArray::new(config.l1i);
+        }
+        if *self.l2.borrow().config() == l2_config(config) {
+            self.l2.borrow_mut().renew();
+        } else {
+            self.l2 = SharedLevel::new(l2_config(config)).into_shared();
+        }
+        if *self.l1d.config() == config.l1d {
+            self.l1d.renew(&self.l2);
+        } else {
+            self.l1d = PrivateCache::new(config.l1d, Rc::clone(&self.l2));
+        }
+        self.bus = Bus::new();
     }
 
     /// Fetches the I-line containing `line_addr` at `now` on behalf of
@@ -85,6 +105,20 @@ impl SharedParts {
             .request_traced(after_icache, diag_mem::ILINE_BEATS, tracer, thread);
         (granted + diag_mem::ILINE_BEATS, granted - after_icache)
     }
+}
+
+/// The L2 geometry of `config`. A configuration without an L2 (I4C2)
+/// backs the L1D directly with DRAM: a degenerate one-line "L2" whose
+/// hits are impossible in practice models that without a second code
+/// path.
+fn l2_config(config: &DiagConfig) -> CacheConfig {
+    config.l2.unwrap_or(CacheConfig {
+        size_bytes: 64,
+        line_bytes: 64,
+        ways: 1,
+        hit_latency: 0,
+        banks: 1,
+    })
 }
 
 #[cfg(test)]

@@ -88,13 +88,34 @@ impl CacheStats {
     }
 }
 
+/// Sets per storage block of a [`CacheArray`] (or every set, in a
+/// smaller cache).
+const BLOCK_SETS: u32 = 64;
+
+/// The state of one cache line.
+#[derive(Debug, Clone, Copy, Default)]
+struct Line {
+    /// Last-use tick; larger = more recently used, at or below the
+    /// array's epoch base = invalid.
+    lru: u64,
+    tag: u32,
+    dirty: bool,
+}
+
 /// A set-associative, LRU, write-back (timing-only) cache array.
 ///
-/// Line state lives in parallel primitive vectors allocated zeroed, so a
-/// fresh array costs no per-line initialisation and sets that are never
-/// touched are never written. A line is valid exactly when its LRU stamp
-/// is non-zero: stamps come from a tick that is incremented before every
-/// access, and invalidation zeroes them.
+/// Line state lives in blocks of 64 sets, each allocated on
+/// the first access to one of its sets, so an array costs memory only
+/// for the sets its runs touch: a tiny run leaves most of a 4 MiB L2's
+/// 65,536 lines unallocated. A line is valid exactly when its LRU stamp
+/// is above the epoch base: stamps come from a tick that is incremented
+/// before every access, and invalidating every line (a [`flush`] or a
+/// [`renew`]) only moves the base up to the current tick, in O(1). Victim
+/// choice reads stale stamps as 0, so a renewed array fills and evicts
+/// exactly like a fresh one.
+///
+/// [`flush`]: CacheArray::flush
+/// [`renew`]: CacheArray::renew
 #[derive(Debug, Clone)]
 pub struct CacheArray {
     config: CacheConfig,
@@ -106,11 +127,14 @@ pub struct CacheArray {
     set_mask: u32,
     /// Line address → bank mask (banks − 1).
     bank_mask: u32,
-    tags: Vec<u32>,
-    /// Last-use tick per line; larger = more recently used, 0 = invalid.
-    lru: Vec<u64>,
-    dirty: Vec<bool>,
+    /// Set → block shift (log2 of the sets per block).
+    block_shift: u32,
+    /// Line state, `ways` lines per set, set-major, one block of sets
+    /// per entry; `None` until a set of the block is first accessed.
+    blocks: Vec<Option<Box<[Line]>>>,
     tick: u64,
+    /// The tick of the last whole-array invalidation (the epoch base).
+    base: u64,
     stats: CacheStats,
 }
 
@@ -144,19 +168,27 @@ impl CacheArray {
             config.banks.is_power_of_two(),
             "bank count must be a power of two"
         );
-        let lines = (sets * config.ways) as usize;
+        let block_sets = sets.min(BLOCK_SETS);
         CacheArray {
             config,
             line_shift: config.line_bytes.trailing_zeros(),
             set_shift: sets.trailing_zeros(),
             set_mask: sets - 1,
             bank_mask: config.banks - 1,
-            tags: vec![0; lines],
-            lru: vec![0; lines],
-            dirty: vec![false; lines],
+            block_shift: block_sets.trailing_zeros(),
+            blocks: vec![None; (sets / block_sets) as usize],
             tick: 0,
+            base: 0,
             stats: CacheStats::default(),
         }
+    }
+
+    /// Returns the array to the state of a fresh [`CacheArray::new`] of
+    /// its configuration — every line invalid, statistics zero — in O(1),
+    /// keeping its storage.
+    pub fn renew(&mut self) {
+        self.flush();
+        self.stats = CacheStats::default();
     }
 
     /// The cache's configuration.
@@ -182,13 +214,12 @@ impl CacheArray {
         (addr >> self.line_shift) & self.bank_mask
     }
 
-    /// Line slots `base..base + ways` of `addr`'s set, and its tag.
+    /// `set`'s block index and the range of its lines within the block.
     #[inline]
-    fn slots_of(&self, addr: u32) -> (std::ops::Range<usize>, u32) {
-        let (set, tag) = self.set_and_tag(addr);
+    fn locate(&self, set: u32) -> (usize, std::ops::Range<usize>) {
         let ways = self.config.ways as usize;
-        let base = set as usize * ways;
-        (base..base + ways, tag)
+        let first = (set & ((1 << self.block_shift) - 1)) as usize * ways;
+        ((set >> self.block_shift) as usize, first..first + ways)
     }
 
     /// Looks up `addr`; on a miss, fills the line (evicting LRU). `write`
@@ -198,36 +229,44 @@ impl CacheArray {
     pub fn access(&mut self, addr: u32, write: bool) -> LookupResult {
         self.tick += 1;
         self.stats.accesses += 1;
-        let (slots, tag) = self.slots_of(addr);
-        let tags = &mut self.tags[slots.clone()];
-        let lru = &mut self.lru[slots.clone()];
-        let dirty = &mut self.dirty[slots];
+        let (set, tag) = self.set_and_tag(addr);
+        let (block, range) = self.locate(set);
+        let block_lines = (self.config.ways << self.block_shift) as usize;
+        let lines = self.blocks[block]
+            .get_or_insert_with(|| vec![Line::default(); block_lines].into_boxed_slice());
+        let lines = &mut lines[range];
+        let (base, tick) = (self.base, self.tick);
         // Hit path.
-        if let Some(way) = (0..tags.len()).find(|&w| tags[w] == tag && lru[w] != 0) {
-            lru[way] = self.tick;
-            dirty[way] |= write;
+        if let Some(line) = lines.iter_mut().find(|l| l.tag == tag && l.lru > base) {
+            line.lru = tick;
+            line.dirty |= write;
             self.stats.hits += 1;
             return LookupResult {
                 hit: true,
                 writeback: false,
             };
         }
-        // Miss: fill the least recently used way. Invalid ways (stamp 0)
-        // are always preferred; among equals the first wins.
+        // Miss: fill the least recently used way. Invalid ways (stale
+        // stamps, read as 0) are always preferred; among equals the first
+        // wins.
         self.stats.misses += 1;
+        let age = |l: &Line| l.lru.saturating_sub(base);
         let mut victim = 0;
-        for w in 1..lru.len() {
-            if lru[w] < lru[victim] {
+        for w in 1..lines.len() {
+            if age(&lines[w]) < age(&lines[victim]) {
                 victim = w;
             }
         }
-        let writeback = lru[victim] != 0 && dirty[victim];
+        let line = &mut lines[victim];
+        let writeback = line.lru > base && line.dirty;
         if writeback {
             self.stats.writebacks += 1;
         }
-        tags[victim] = tag;
-        lru[victim] = self.tick;
-        dirty[victim] = write;
+        *line = Line {
+            lru: tick,
+            tag,
+            dirty: write,
+        };
         LookupResult {
             hit: false,
             writeback,
@@ -236,16 +275,19 @@ impl CacheArray {
 
     /// Whether `addr`'s line is currently resident (no state change).
     pub fn probe(&self, addr: u32) -> bool {
-        let (slots, tag) = self.slots_of(addr);
-        slots
-            .into_iter()
-            .any(|i| self.tags[i] == tag && self.lru[i] != 0)
+        let (set, tag) = self.set_and_tag(addr);
+        let (block, range) = self.locate(set);
+        self.blocks[block].as_ref().is_some_and(|lines| {
+            lines[range]
+                .iter()
+                .any(|l| l.tag == tag && l.lru > self.base)
+        })
     }
 
-    /// Invalidates the whole cache (keeps statistics).
+    /// Invalidates the whole cache in O(1) (keeps statistics): every
+    /// stamp given so far falls at or below the new epoch base.
     pub fn flush(&mut self) {
-        self.lru.fill(0);
-        self.dirty.fill(false);
+        self.base = self.tick;
     }
 }
 
@@ -339,6 +381,52 @@ mod tests {
         assert!(c.probe(0x00));
         c.flush();
         assert!(!c.probe(0x00));
+    }
+
+    #[test]
+    fn renewed_array_behaves_like_a_fresh_one() {
+        // Random traffic on a used array, renewed, must hit, miss, evict
+        // and write back exactly like a fresh array: stale lines never
+        // hit, and stale ways tie as invalid ones do (first way wins).
+        let mut rng = diag_isa::prng::SplitMix64::seed_from_u64(0xCAC4E);
+        let mut used = tiny();
+        for round in 0..20 {
+            let mut fresh = tiny();
+            for step in 0..200 {
+                let addr = rng.gen_range(0u32..16) * 16;
+                let write = rng.gen_range(0u32..3) == 0;
+                let (a, b) = (used.access(addr, write), fresh.access(addr, write));
+                assert_eq!(a, b, "round {round}, step {step}, addr {addr:#x}");
+                assert_eq!(used.probe(addr), fresh.probe(addr));
+            }
+            assert_eq!(used.stats(), fresh.stats());
+            used.renew();
+            assert_eq!(used.stats(), CacheStats::default());
+        }
+    }
+
+    #[test]
+    fn blocks_are_allocated_on_first_touch() {
+        // 4 MiB, 8 ways: 8192 sets in 128 blocks of 64 sets.
+        let mut c = CacheArray::new(CacheConfig::l2(4));
+        let allocated = |c: &CacheArray| c.blocks.iter().filter(|b| b.is_some()).count();
+        assert_eq!((c.blocks.len(), allocated(&c)), (128, 0));
+        assert!(!c.probe(0x1000), "probing allocates nothing");
+        assert_eq!(allocated(&c), 0);
+        // Two sets in one block, then a set in another block.
+        assert!(!c.access(0x1000, false).hit);
+        assert!(!c.access(0x1040, true).hit);
+        assert!(!c.access(0x1000 + 64 * 64, false).hit);
+        assert_eq!(allocated(&c), 2);
+        assert!(c.access(0x1000, false).hit && c.access(0x1040, false).hit);
+        // Nine lines of one set: the ninth evicts the least recent, the
+        // dirty 0x1040 touched first.
+        let stride = 8192 * 64;
+        for i in 1..=8u32 {
+            c.access(0x1040 + i * stride, false);
+        }
+        assert!(!c.probe(0x1040));
+        assert_eq!(c.stats().writebacks, 1);
     }
 
     #[test]

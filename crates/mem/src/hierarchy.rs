@@ -40,6 +40,11 @@ impl OccupancyPool {
         self.next_free[idx] = start + occupancy;
         start
     }
+
+    /// Frees every unit, as at construction.
+    fn renew(&mut self) {
+        self.next_free.fill(0);
+    }
 }
 
 /// DRAM access latency in cycles used when the L2 misses (at the paper's
@@ -91,6 +96,23 @@ impl SharedLevel {
         }
     }
 
+    /// Returns the level to the state of a fresh one of its geometry —
+    /// every line invalid, every bank and DRAM channel idle, counts zero
+    /// — keeping its storage (see [`CacheArray::renew`]).
+    pub fn renew(&mut self) {
+        self.cache.renew();
+        for bank in &mut self.banks {
+            bank.renew(1);
+        }
+        self.dram.renew();
+        self.dram_accesses = 0;
+    }
+
+    /// The L2 geometry.
+    pub fn config(&self) -> &CacheConfig {
+        self.cache.config()
+    }
+
     /// Wraps this level for sharing between multiple private caches.
     pub fn into_shared(self) -> Rc<RefCell<SharedLevel>> {
         Rc::new(RefCell::new(self))
@@ -138,6 +160,23 @@ impl PrivateCache {
             cache: CacheArray::new(config),
             next,
         }
+    }
+
+    /// Returns the cache to the state of a fresh one of its geometry in
+    /// front of `next`, keeping its storage (see [`CacheArray::renew`]).
+    pub fn renew(&mut self, next: &Rc<RefCell<SharedLevel>>) {
+        self.cache.renew();
+        for bank in &mut self.banks {
+            bank.renew(1);
+        }
+        if !Rc::ptr_eq(&self.next, next) {
+            self.next = Rc::clone(next);
+        }
+    }
+
+    /// The L1 geometry.
+    pub fn config(&self) -> &CacheConfig {
+        self.cache.config()
     }
 
     /// Services an access arriving at cycle `now`.
@@ -353,6 +392,24 @@ mod tests {
         let (mut plain, _l2b) = hierarchy();
         assert_eq!(plain.access(0x1000, false, 0), cold);
         assert_eq!(plain.access(0x1000, false, 500), warm);
+    }
+
+    #[test]
+    fn renewed_hierarchy_times_like_a_fresh_one() {
+        let trace = [(0x0000, false, 0), (0x0040, true, 0), (0x0080, false, 0)];
+        let (mut l1, l2) = hierarchy();
+        for &(addr, write, now) in &trace {
+            l1.access(addr, write, now);
+        }
+        l2.borrow_mut().renew();
+        l1.renew(&l2);
+        let (mut fresh, fresh_l2) = hierarchy();
+        for &(addr, write, now) in &trace {
+            assert_eq!(l1.access(addr, write, now), fresh.access(addr, write, now));
+        }
+        assert_eq!(l1.stats(), fresh.stats());
+        assert_eq!(l2.borrow().stats(), fresh_l2.borrow().stats());
+        assert_eq!(l2.borrow().dram_accesses(), 3);
     }
 
     #[test]

@@ -174,6 +174,21 @@ impl Lsu {
         self.outstanding.clear();
         self.port.reset();
     }
+
+    /// Returns the unit to the state of [`Lsu::new`]`(depth)`, keeping
+    /// its queue and port storage.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `depth` is zero.
+    pub fn renew(&mut self, depth: usize) {
+        assert!(depth > 0, "LSU depth must be positive");
+        self.outstanding.clear();
+        self.depth = depth;
+        self.port.renew(1);
+        self.accepted = 0;
+        self.rejections = 0;
+    }
 }
 
 #[cfg(test)]
@@ -292,6 +307,21 @@ mod tests {
                 ..
             }
         ));
+    }
+
+    #[test]
+    fn renew_restarts_statistics_and_depth() {
+        let mut lsu = Lsu::new(1);
+        let t = lsu.try_issue(0).unwrap();
+        lsu.complete_at(t + 1000);
+        assert_eq!(lsu.try_issue(1), None);
+        lsu.renew(2);
+        assert_eq!((lsu.accepted(), lsu.rejections()), (0, 0));
+        for _ in 0..2 {
+            let t = lsu.try_issue(0).unwrap();
+            lsu.complete_at(t + 100);
+        }
+        assert_eq!(lsu.try_issue(0), None, "depth 2 after renew");
     }
 
     #[test]

@@ -31,12 +31,25 @@ const PAGE_SIZE: usize = 1 << PAGE_SHIFT;
 #[derive(Debug, Clone, Default)]
 pub struct MainMemory {
     pages: FxHashMap<u32, Box<[u8; PAGE_SIZE]>>,
+    /// Zeroed pages of earlier runs, handed out before a new page is
+    /// allocated.
+    spare: Vec<Box<[u8; PAGE_SIZE]>>,
 }
 
 impl MainMemory {
     /// Creates an empty (all-zero) memory.
     pub fn new() -> MainMemory {
         MainMemory::default()
+    }
+
+    /// Returns the memory to the all-zero state of [`MainMemory::new`],
+    /// keeping its pages for reuse: only the pages the last run touched
+    /// are zeroed.
+    pub fn renew(&mut self) {
+        for (_, mut page) in self.pages.drain() {
+            page.fill(0);
+            self.spare.push(page);
+        }
     }
 
     /// Creates a memory pre-loaded with a program's text and data segments.
@@ -78,9 +91,10 @@ impl MainMemory {
     }
 
     fn page_mut(&mut self, addr: u32) -> &mut [u8; PAGE_SIZE] {
+        let spare = &mut self.spare;
         self.pages
             .entry(addr >> PAGE_SHIFT)
-            .or_insert_with(|| Box::new([0u8; PAGE_SIZE]))
+            .or_insert_with(|| spare.pop().unwrap_or_else(|| Box::new([0u8; PAGE_SIZE])))
     }
 
     /// Reads one byte.
@@ -266,6 +280,23 @@ mod tests {
                 assert_eq!(chunked.read_u8(a), bytewise.read_u8(a), "{start:#x}+{i}");
             }
         }
+    }
+
+    #[test]
+    fn renewed_memory_reads_zero_and_reuses_pages() {
+        let mut mem = MainMemory::new();
+        for i in 0..4u32 {
+            mem.write_u32(i * PAGE_SIZE as u32 + 8, 0xFFFF_FFFF);
+        }
+        mem.renew();
+        assert_eq!(mem.resident_pages(), 0);
+        for i in 0..4u32 {
+            assert_eq!(mem.read_u32(i * PAGE_SIZE as u32 + 8), 0);
+        }
+        // A recycled page comes back all zero.
+        mem.write_u8(0x9000, 1);
+        assert_eq!(mem.read_u32(0x9008), 0);
+        assert_eq!((mem.resident_pages(), mem.spare.len()), (1, 3));
     }
 
     #[test]

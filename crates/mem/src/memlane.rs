@@ -21,6 +21,8 @@
 //! buffered sub-word or unaligned store falls the structure back to the
 //! exact linear scan.
 
+use std::collections::VecDeque;
+
 use crate::fxmap::FxHashMap;
 
 /// One buffered store.
@@ -70,9 +72,12 @@ pub enum LaneLookup {
 }
 
 /// A cluster-level store-forwarding and disambiguation buffer (paper §5.2).
-#[derive(Debug, Clone)]
+///
+/// The default lane is empty, with a fast window of 0 entries.
+#[derive(Debug, Clone, Default)]
 pub struct MemLane {
-    entries: Vec<StoreEntry>,
+    /// Buffered stores, oldest first; trimming pops the front.
+    entries: VecDeque<StoreEntry>,
     capacity: usize,
     /// Sequence number of `entries[0]` (sequence numbers are assigned per
     /// push and survive front-drains, so the word index below can refer
@@ -93,12 +98,20 @@ impl MemLane {
     /// Creates a memory lane with `capacity` fast-forwarding entries.
     pub fn new(capacity: usize) -> MemLane {
         MemLane {
-            entries: Vec::new(),
+            entries: VecDeque::new(),
             capacity,
             base_seq: 0,
             word_index: FxHashMap::default(),
             irregular: 0,
         }
+    }
+
+    /// Returns the lane to the state of [`MemLane::new`]`(capacity)`,
+    /// keeping its buffer and index storage.
+    pub fn renew(&mut self, capacity: usize) {
+        self.clear();
+        self.capacity = capacity;
+        self.base_seq = 0;
     }
 
     /// Fast-window capacity.
@@ -131,7 +144,7 @@ impl MemLane {
         } else {
             self.irregular += 1;
         }
-        self.entries.push(entry);
+        self.entries.push_back(entry);
     }
 
     /// Classifies a covering entry at buffer position `pos` as fast or
@@ -219,16 +232,12 @@ impl MemLane {
     /// window (periodic trim to bound memory in very long runs).
     pub fn trim(&mut self) {
         let excess = self.entries.len().saturating_sub(self.capacity * 4);
-        if excess > 0 {
-            self.irregular -= self
-                .entries
-                .iter()
-                .take(excess)
-                .filter(|e| !e.is_word())
-                .count();
-            self.entries.drain(..excess);
-            self.base_seq += excess as u64;
+        for _ in 0..excess {
+            if let Some(e) = self.entries.pop_front() {
+                self.irregular -= usize::from(!e.is_word());
+            }
         }
+        self.base_seq += excess as u64;
         // Stale index entries are answered lazily (seq below base_seq);
         // sweep them out only once the index has grown to a small multiple
         // of the live set, which keeps the sweep O(1) amortized per store
@@ -338,6 +347,42 @@ mod tests {
         lane.clear();
         assert!(lane.is_empty());
         assert_eq!(lane.lookup(0, 4), LaneLookup::Miss);
+    }
+
+    #[test]
+    fn renewed_lane_is_empty_with_its_new_capacity() {
+        let mut lane = MemLane::new(8);
+        lane.push_store(0x100, 1, 7, 3);
+        lane.renew(1);
+        assert!(lane.is_empty());
+        assert_eq!(lane.capacity(), 1);
+        assert_eq!(lane.lookup(0x100, 1), LaneLookup::Miss);
+        lane.push_store(0x200, 4, 1, 1);
+        lane.push_store(0x204, 4, 2, 2);
+        assert!(matches!(lane.lookup(0x200, 4), LaneLookup::HitSlow { .. }));
+        assert!(matches!(lane.lookup(0x204, 4), LaneLookup::HitFast { .. }));
+    }
+
+    #[test]
+    fn trim_keeps_the_youngest_stores_in_order() {
+        // Sub-word stores force the linear scan; after trimming, every
+        // surviving store still answers, the youngest per address wins,
+        // and the trimmed ones are gone.
+        let mut lane = MemLane::new(2);
+        for i in 0..20u32 {
+            lane.push_store(0x100 + (i % 4), 1, i, u64::from(i));
+            lane.trim();
+        }
+        assert_eq!(lane.len(), 8);
+        for a in 0..4u32 {
+            let youngest = 16 + a;
+            match lane.lookup(0x100 + a, 1) {
+                LaneLookup::HitFast { value, .. } | LaneLookup::HitSlow { value, .. } => {
+                    assert_eq!(value, youngest)
+                }
+                other => panic!("{other:?}"),
+            }
+        }
     }
 
     #[test]

@@ -59,8 +59,14 @@ impl PortMeter {
             if last - from >= WINDOW as u64 - 1 {
                 self.counts.fill(0);
             } else {
-                for cycle in from..last + 1 {
-                    self.counts[(cycle % WINDOW as u64) as usize] = 0;
+                // The span's slots, as one slice or two where it wraps.
+                let a = (from % WINDOW as u64) as usize;
+                let b = (last % WINDOW as u64) as usize;
+                if a <= b {
+                    self.counts[a..=b].fill(0);
+                } else {
+                    self.counts[a..].fill(0);
+                    self.counts[..=b].fill(0);
                 }
             }
         }
@@ -126,6 +132,26 @@ impl PortMeter {
         self.clear_through(u64::MAX);
         self.base = 0;
         self.horizon = 0;
+    }
+
+    /// Returns the meter to the state of [`PortMeter::new`]`(width)`,
+    /// keeping its window if it granted since it was created or last
+    /// renewed: zeroes only the span of cycles holding grants. A meter
+    /// that went unused gives its window back, so storage reused run
+    /// after run holds windows only where the last run granted, as a
+    /// fresh machine would.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `width` is 0 or exceeds 255.
+    pub fn renew(&mut self, width: usize) {
+        assert!((1..=255).contains(&width), "port width out of range");
+        if self.granted == 0 {
+            self.counts = Vec::new();
+        }
+        self.reset();
+        self.width = width as u8;
+        self.granted = 0;
     }
 }
 
@@ -255,6 +281,26 @@ mod tests {
                 assert_eq!(lazy.next(at), eager.next(at), "width {width}, step {step}");
             }
         }
+    }
+
+    #[test]
+    fn renewed_meter_grants_like_a_fresh_one() {
+        let mut used = PortMeter::new(1);
+        for t in [5, 5, 9, 20_000, 3] {
+            used.next(t);
+        }
+        used.prune_before(40);
+        used.renew(2);
+        let mut fresh = PortMeter::new(2);
+        for t in [0, 0, 0, 7, 7, 7, 30_000, 1] {
+            assert_eq!(used.next(t), fresh.next(t), "at {t}");
+        }
+        assert_eq!(used.granted(), fresh.granted());
+        // Used since the last renew: the window stays; unused: it goes.
+        used.renew(2);
+        assert_eq!(used.counts.len(), WINDOW);
+        used.renew(2);
+        assert!(used.counts.is_empty());
     }
 
     #[test]

@@ -7,7 +7,7 @@
 //!  conn N ──────► │ reader thread ─┘        │ pop                │
 //!                 │                ┌────────┴─────────┐          │
 //!                 │                │ worker pool      │          │
-//!                 │                │ sweep::run_one   │          │
+//!                 │                │ sweep::run_one_in│          │
 //!                 │                │ (shared Session) │          │
 //!                 │                └────────┬─────────┘          │
 //!                 │      per-conn ordered flush (BTreeMap)       │
@@ -20,7 +20,9 @@
 //! preparation through the store's `Arc<OnceLock>` layer — the second
 //! request blocks briefly and reports a cache *hit* instead of
 //! duplicating an assembly. Each result frame carries the hit/build
-//! delta observed around its own run.
+//! delta observed around its own run. Each worker keeps one machine in a
+//! [`MachineSlot`] and runs every job it can on it, re-shaped in place;
+//! `diag_serve_machine_builds_total` counts the machines built.
 //!
 //! Results are written back **in per-client submission order**: each
 //! accepted submission takes the connection's next order slot, and a
@@ -35,7 +37,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 use std::time::Instant;
 
-use diag_bench::runner::MachineSpec;
+use diag_bench::runner::{MachineSlot, MachineSpec};
 use diag_bench::sweep::{self, SweepRun};
 use diag_core::apply_override;
 use diag_pipeline::Session;
@@ -230,6 +232,9 @@ struct ServeMetrics {
     execute_ns: [Histogram; 3],
     first_byte_ns: [Histogram; 3],
     run_ns_per_instr: Histogram,
+    /// Machines the workers built (a worker re-shapes the one it holds
+    /// when it can; see `diag_bench::runner::MachineSlot`).
+    machine_builds: Counter,
 }
 
 /// Index into [`ServeMetrics::rejected`] for an admission-failure code.
@@ -261,6 +266,7 @@ impl ServeMetrics {
             execute_ns: per_scale("diag_serve_execute_ns"),
             first_byte_ns: per_scale("diag_serve_first_byte_ns"),
             run_ns_per_instr: registry.histogram("diag_serve_run_ns_per_instr", &[]),
+            machine_builds: registry.counter("diag_serve_machine_builds_total", &[]),
         }
     }
 
@@ -413,21 +419,24 @@ impl ServerHandle {
     }
 }
 
-/// Worker loop: pop, execute through the shared session, deliver. The
-/// cache delta around the run attributes hits/builds to this request
-/// (exact at one worker; under concurrency a neighbour's counter bumps
-/// can land in the window, which is why the warm-burst CI assertion is
-/// `builds == 0`, not an exact hit count).
+/// Worker loop: pop, execute through the shared session on the worker's
+/// one machine slot, deliver. The cache delta around the run attributes
+/// hits/builds to this request (exact at one worker; under concurrency a
+/// neighbour's counter bumps can land in the window, which is why the
+/// warm-burst CI assertion is `builds == 0`, not an exact hit count).
 fn worker_loop(shared: &Shared) {
+    let mut slot = MachineSlot::new();
     while let Some(job) = shared.queue.pop() {
         let m = &shared.metrics;
         let si = scale_idx(job.run.params.scale);
         m.queue_wait_ns[si].record(ns_since(job.admitted));
         m.running.inc();
         let before = shared.session.counters();
+        let builds = slot.builds();
         let t0 = Instant::now();
-        let result = sweep::run_one(&shared.session, &job.run);
+        let result = sweep::run_one_in(&mut slot, &shared.session, &job.run);
         let host_ns = ns_since(t0).max(1);
+        m.machine_builds.add(slot.builds() - builds);
         m.execute_ns[si].record(host_ns);
         let after = shared.session.counters();
         let cache = CacheDelta {

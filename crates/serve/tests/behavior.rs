@@ -334,10 +334,11 @@ fn flooding_client_cannot_starve_a_small_one() {
     let mut flood = Client::connect(handle.addr()).expect("connect flood");
     let mut small = Client::connect(handle.addr()).expect("connect small");
 
-    // The flood's first job is small-scale: it occupies the single
-    // worker long enough for the rest of the queue to fill, making the
-    // scheduling order under test independent of socket timing.
-    let mut first = Submit::new(0, "nn", "inorder");
+    // The flood's first job is a long small-scale run (mcf on the
+    // out-of-order baseline): it occupies the single worker long enough
+    // for the rest of the queue to fill, making the scheduling order
+    // under test independent of socket timing.
+    let mut first = Submit::new(0, "mcf", "ooo");
     first.scale = "small".to_string();
     flood.submit(&first).expect("submit");
     const FLOOD: u64 = 200;
@@ -382,6 +383,45 @@ fn flooding_client_cannot_starve_a_small_one() {
     let _ = reader.join().expect("flood reader");
     small.send_verb("shutdown").expect("shutdown");
     let _ = small.recv().expect("read");
+    handle.join().expect("clean server exit");
+}
+
+#[test]
+fn one_worker_reuses_one_machine_across_cache_sharing_specs() {
+    // Eight distinct runs (no memo hits) on DiAG shapes that differ in
+    // clusters, ring segmentation, LSU depth and threads but share the
+    // F4C32 caches: the worker re-shapes its one machine for all eight.
+    let handle = spawn(1, 16);
+    let mut client = Client::connect(handle.addr()).expect("connect");
+    let shapes = [("clusters", "16"), ("lsu_depth", "4")];
+    let mut seq = 0;
+    for workload in ["bfs", "hotspot"] {
+        for (key, value) in shapes {
+            for threads in [1, 2] {
+                let mut submit = Submit::new(seq, workload, "diag");
+                submit.threads = threads;
+                submit.config.push((key.to_string(), value.to_string()));
+                client.submit(&submit).expect("submit");
+                seq += 1;
+            }
+        }
+    }
+    for seq in 0..8 {
+        let frame = client.recv().expect("read").expect("result");
+        assert_eq!(frame.seq(), Some(seq), "{}", frame.raw);
+        assert_eq!(frame.ok(), Some(true), "{}", frame.raw);
+        assert_eq!(frame.run_builds(), Some(1), "{}", frame.raw);
+    }
+    let metrics = scrape(&handle.addr().to_string());
+    assert_eq!(
+        metrics.metric_counter("diag_serve_machine_builds_total"),
+        Some(1),
+        "{}",
+        metrics.raw
+    );
+
+    client.send_verb("shutdown").expect("shutdown");
+    let _ = client.recv().expect("read");
     handle.join().expect("clean server exit");
 }
 

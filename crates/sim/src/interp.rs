@@ -467,9 +467,13 @@ pub fn evaluate(
 /// carries no `x0` writeback); every consumer of `dest` filters the zero
 /// lane anyway, so the two step functions are observably identical.
 ///
+/// Always inlined, like [`evaluate`], so each baseline's step loop keeps
+/// its state in place across the call.
+///
 /// # Errors
 ///
 /// Returns the same [`SimError`] conditions as [`arch_step`].
+#[inline(always)]
 pub fn station_step(
     state: &mut ArchState,
     stations: &StationTable,

@@ -9,6 +9,12 @@
 //! when the wave's last thread halts, fold its counters and launch the
 //! next wave at the latest finish. Waves approximate, conservatively, a
 //! scheduler that refills each unit as soon as its thread halts.
+//!
+//! A halted unit leaves its heap storage ([`Unit::Storage`]) behind, and
+//! the next unit launched — in a later wave, or a later run through
+//! [`Waves::restart`] — takes it over, so a machine that runs again
+//! rebuilds none of it. Launching on used storage must be
+//! indistinguishable from launching on fresh storage.
 
 use std::fmt;
 
@@ -25,18 +31,28 @@ pub trait Unit: fmt::Debug + Sized {
     /// and the memory side.
     type Shared: fmt::Debug;
 
+    /// The heap storage a unit leaves behind when it retires (arenas,
+    /// tables, meter windows); the default is empty storage.
+    type Storage: fmt::Debug + Default;
+
     /// The track `thread`'s [`EventKind::ThreadStart`] event rides on.
     fn track(thread: u32) -> Track;
 
     /// Starts hardware thread `thread` of `threads` at cycle `at`,
-    /// reporting through `probes`.
+    /// reporting through `probes`, on `storage`: empty, or left by a
+    /// retired unit. The unit keeps the storage's allocations and none of
+    /// its contents, so it behaves exactly as on empty storage.
     fn launch(
         shared: &Self::Shared,
         thread: usize,
         threads: usize,
         at: u64,
         probes: Probes,
+        storage: Self::Storage,
     ) -> Self;
+
+    /// Ends the unit, handing back its storage for the next launch.
+    fn retire(self) -> Self::Storage;
 
     /// Retires the thread's next quantum of work (see
     /// [`crate::Machine::step`]).
@@ -64,6 +80,8 @@ pub struct Waves<U: Unit> {
     probes: Probes,
     /// Units of the current wave (empty only between waves).
     units: Vec<U>,
+    /// Storage of retired units, for the next launches.
+    idle: Vec<U::Storage>,
     /// Totals of the finished waves.
     done: RunStats,
     threads: usize,
@@ -89,30 +107,66 @@ impl<U: Unit> Waves<U> {
         max_cycles: u64,
         freq_ghz: f64,
     ) -> Waves<U> {
-        let threads = threads.max(1);
         let mut waves = Waves {
             shared,
             probes,
             units: Vec::with_capacity(width),
-            done: RunStats {
-                threads: threads as u64,
-                freq_ghz,
-                ..RunStats::default()
-            },
-            threads,
+            idle: Vec::new(),
+            done: RunStats::default(),
+            threads: 1,
             width,
             max_cycles,
             next_thread: 0,
             wave_start: 0,
             halted: false,
         };
-        waves.launch_wave();
+        waves.begin(threads, freq_ghz);
         waves
+    }
+
+    /// Starts a new run, as [`Waves::start`] does, on this one's shared
+    /// state and unit storage. Running units (of a run that failed
+    /// part-way) retire first. The caller renews what the units share
+    /// ([`Waves::shared_mut`]) before restarting.
+    pub fn restart(
+        &mut self,
+        probes: Probes,
+        threads: usize,
+        width: usize,
+        max_cycles: u64,
+        freq_ghz: f64,
+    ) {
+        self.idle.extend(self.units.drain(..).map(U::retire));
+        self.probes = probes;
+        self.width = width;
+        self.max_cycles = max_cycles;
+        self.begin(threads, freq_ghz);
+    }
+
+    /// Resets the run state for `threads` threads and launches the first
+    /// wave.
+    fn begin(&mut self, threads: usize, freq_ghz: f64) {
+        self.threads = threads.max(1);
+        self.done = RunStats {
+            threads: self.threads as u64,
+            freq_ghz,
+            ..RunStats::default()
+        };
+        self.next_thread = 0;
+        self.wave_start = 0;
+        self.halted = false;
+        self.launch_wave();
     }
 
     /// What the units share (the machine's memory, for one).
     pub fn shared(&self) -> &U::Shared {
         &self.shared
+    }
+
+    /// What the units share, for renewing it before a
+    /// [`Waves::restart`].
+    pub fn shared_mut(&mut self) -> &mut U::Shared {
+        &mut self.shared
     }
 
     /// Steps the running unit furthest behind. Once the whole wave has
@@ -173,7 +227,15 @@ impl<U: Unit> Waves<U> {
         self.next_thread = self.threads.min(first + self.width);
         let at = self.wave_start;
         for thread in first..self.next_thread {
-            let unit = U::launch(&self.shared, thread, self.threads, at, self.probes.clone());
+            let storage = self.idle.pop().unwrap_or_default();
+            let unit = U::launch(
+                &self.shared,
+                thread,
+                self.threads,
+                at,
+                self.probes.clone(),
+                storage,
+            );
             self.units.push(unit);
             let thread = thread as u32;
             self.probes.emit(|| Event {
@@ -198,7 +260,7 @@ impl<U: Unit> Waves<U> {
             add(&mut self.done, &unit.counters());
             self.wave_start = self.wave_start.max(clock);
         }
-        self.units.clear();
+        self.idle.extend(self.units.drain(..).map(U::retire));
     }
 }
 

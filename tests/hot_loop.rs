@@ -2,46 +2,60 @@
 //! further step must execute entirely from the predecoded stations —
 //! zero `decode()` calls and zero heap allocations per step, including
 //! steps that load and store (lazily allocated port-meter windows and
-//! cache state are paid during warm-up, never per step). Lives in
-//! its own test binary because both checks hook process-wide state (the
-//! decoder's call counter and a counting global allocator).
+//! cache state are paid during warm-up, never per step). A machine that
+//! has run before must also reload and run again without rebuilding its
+//! caches, windows and arenas. Lives in its own test binary because the
+//! checks hook process-wide state (the decoder's call counter and a
+//! counting global allocator).
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
-use std::sync::Mutex;
+use std::sync::{Mutex, MutexGuard, PoisonError};
 
 use diag::asm::assemble;
+use diag::bench::runner::{build_machine, MachineSpec};
 use diag::core::{Diag, DiagConfig};
-use diag::isa::decode_calls;
+use diag::isa::{decode_calls, StationTable};
 use diag::sim::Machine;
+use diag::workloads::{find, Params};
 
 /// Counts every allocation (and growing reallocation) made by the
-/// calling thread, so the harness's own bookkeeping on other threads
-/// never lands in a measured window.
+/// calling thread, and the bytes they claim, so the harness's own
+/// bookkeeping on other threads never lands in a measured window.
 struct CountingAlloc;
 
 thread_local! {
     static ALLOCS: Cell<u64> = const { Cell::new(0) };
+    static BYTES: Cell<u64> = const { Cell::new(0) };
 }
 
-fn count_alloc() {
+fn count_alloc(bytes: usize) {
     let _ = ALLOCS.try_with(|n| n.set(n.get() + 1));
+    let _ = BYTES.try_with(|n| n.set(n.get() + bytes as u64));
 }
 
 fn allocs() -> u64 {
     ALLOCS.with(Cell::get)
 }
 
+fn bytes() -> u64 {
+    BYTES.with(Cell::get)
+}
+
 unsafe impl GlobalAlloc for CountingAlloc {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        count_alloc();
+        count_alloc(layout.size());
         unsafe { System.alloc(layout) }
+    }
+    unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
+        count_alloc(layout.size());
+        unsafe { System.alloc_zeroed(layout) }
     }
     unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
         unsafe { System.dealloc(ptr, layout) }
     }
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        count_alloc();
+        count_alloc(new_size.saturating_sub(layout.size()));
         unsafe { System.realloc(ptr, layout, new_size) }
     }
 }
@@ -52,6 +66,12 @@ static GLOBAL: CountingAlloc = CountingAlloc;
 /// The decoder's call counter is process-global, so the tests in this
 /// binary must not run concurrently.
 static SERIAL: Mutex<()> = Mutex::new(());
+
+/// Takes the serial lock. A test that failed while holding it poisoned
+/// it; the others still run and report their own result.
+fn serial() -> MutexGuard<'static, ()> {
+    SERIAL.lock().unwrap_or_else(PoisonError::into_inner)
+}
 
 /// Steps `cpu` through `warmup` steps, then returns the decoder-call
 /// and allocation deltas over the next `measured` steps.
@@ -69,7 +89,7 @@ fn steady_state_deltas(cpu: &mut Diag, warmup: usize, measured: usize) -> (u64, 
 
 #[test]
 fn steady_state_steps_do_not_decode_or_allocate() {
-    let _serial = SERIAL.lock().unwrap();
+    let _serial = serial();
     let program = assemble(
         r#"
             li   t0, 1000000
@@ -98,7 +118,7 @@ fn steady_state_steps_do_not_decode_or_allocate() {
 /// during warm-up; the measured window must not allocate at all.
 #[test]
 fn steady_state_memory_steps_do_not_decode_or_allocate() {
-    let _serial = SERIAL.lock().unwrap();
+    let _serial = serial();
     let program = assemble(
         r#"
             .data
@@ -143,4 +163,43 @@ fn steady_state_memory_steps_do_not_decode_or_allocate() {
     );
     assert_eq!(decode_delta, 0, "reuse steps must never call the decoder");
     assert_eq!(alloc_delta, 0, "memory steps must never touch the heap");
+}
+
+/// Bytes the calling thread allocates while `f` runs.
+fn bytes_during(f: impl FnOnce()) -> u64 {
+    let before = bytes();
+    f();
+    bytes() - before
+}
+
+/// A second load and run on a used machine renews its caches, meter
+/// windows, arenas and memory pages in place: it allocates a small
+/// fraction of what the first run, which built them, allocated.
+#[test]
+fn reloading_a_used_machine_allocates_little() {
+    let _serial = serial();
+    let built = find("bfs").unwrap().build(&Params::tiny()).unwrap();
+    let program = &built.program;
+    let stations = std::sync::Arc::new(StationTable::build(program.text_base(), program.text()));
+    for text in ["diag:f4c32", "ooo:12"] {
+        let spec = MachineSpec::parse(text).unwrap();
+        let mut machine = build_machine(&spec);
+        let mut run = || {
+            let stats = match spec {
+                MachineSpec::Diag(_) => machine.run(program, 1),
+                _ => machine.run_prepared(program, &stations, 1),
+            };
+            assert!(stats.unwrap().committed > 1000, "{text}");
+        };
+        let first = bytes_during(&mut run);
+        let second = bytes_during(&mut run);
+        assert!(
+            first > 256 << 10,
+            "{text}: a fresh machine's first run allocated only {first} bytes"
+        );
+        assert!(
+            second < 64 << 10,
+            "{text}: the second run allocated {second} bytes (the first {first})"
+        );
+    }
 }
