@@ -66,17 +66,10 @@ impl OooCpu {
         &self.config
     }
 
-    /// Whether a machine of `config` has this one's caches (L1D and L2
-    /// geometry; every core's L1I is the same), so [`OooCpu::reshape`]
-    /// can turn this one into it.
-    pub fn same_caches(&self, config: &O3Config) -> bool {
-        (config.l1d, config.l2) == (self.config.l1d, self.config.l2)
-    }
-
     /// Turns this machine into `OooCpu::new(config, max_cores)` from its
     /// next [`Machine::load`] on, keeping its probes, memory side and
     /// core storage; a cache whose geometry changes is rebuilt at that
-    /// load ([`OooCpu::same_caches`] says whether none does).
+    /// load.
     ///
     /// # Panics
     ///

@@ -59,16 +59,13 @@ impl Held {
     }
 
     /// Re-shapes this machine into `spec`'s if it is of the same family
-    /// with the same caches; returns whether it did.
+    /// with the same caches; returns whether it did. (Every `ooo` spec
+    /// has the same core configuration, so only its core count varies.)
     fn reshape(&mut self, spec: &MachineSpec) -> bool {
         match (self, spec) {
             (Held::Diag(m), MachineSpec::Diag(cfg)) if m.same_caches(cfg) => m.reshape(cfg),
             (Held::Ooo(m), MachineSpec::Ooo(cores)) => {
-                let cfg = O3Config::aggressive_8wide();
-                if !m.same_caches(&cfg) {
-                    return false;
-                }
-                m.reshape(&cfg, *cores);
+                m.reshape(&O3Config::aggressive_8wide(), *cores)
             }
             (Held::InOrder(_), MachineSpec::InOrder) => {}
             _ => return false,
