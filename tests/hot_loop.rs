@@ -10,7 +10,7 @@
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
-use std::sync::{Mutex, MutexGuard, PoisonError};
+use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 
 use diag::asm::assemble;
 use diag::bench::runner::{build_machine, MachineSpec};
@@ -180,7 +180,7 @@ fn reloading_a_used_machine_allocates_little() {
     let _serial = serial();
     let built = find("bfs").unwrap().build(&Params::tiny()).unwrap();
     let program = &built.program;
-    let stations = std::sync::Arc::new(StationTable::build(program.text_base(), program.text()));
+    let stations = Arc::new(StationTable::build(program.text_base(), program.text()));
     for text in ["diag:f4c32", "ooo:12"] {
         let spec = MachineSpec::parse(text).unwrap();
         let mut machine = build_machine(&spec);
