@@ -4,7 +4,10 @@
 use diag_isa::{Inst, Reg};
 
 /// A gshare + BTB + RAS predictor.
-#[derive(Debug, Clone)]
+///
+/// The default predictor has empty tables; [`BranchPredictor::renew`]
+/// sizes them.
+#[derive(Debug, Clone, Default)]
 pub struct BranchPredictor {
     /// 2-bit saturating counters indexed by `pc ^ history`.
     counters: Vec<u8>,
@@ -35,15 +38,7 @@ impl BranchPredictor {
     ///
     /// Panics if `entries` or `btb_entries` is not a power of two.
     pub fn new(entries: usize, btb_entries: usize, ras_depth: usize) -> BranchPredictor {
-        let mut bpred = BranchPredictor {
-            counters: Vec::new(),
-            history: 0,
-            btb: Vec::new(),
-            ras: Vec::new(),
-            ras_depth: 0,
-            lookups: 0,
-            mispredicts: 0,
-        };
+        let mut bpred = BranchPredictor::default();
         bpred.renew(entries, btb_entries, ras_depth);
         bpred
     }

@@ -55,25 +55,14 @@ impl CoreShared {
         }
     }
 
-    /// Turns this into [`CoreShared::new`] of the same arguments in
-    /// place: memory is renewed page by page, and the L2 is renewed in
-    /// O(1) when `cfg` keeps its geometry.
-    pub(crate) fn reload(
-        &mut self,
-        cfg: &Arc<O3Config>,
-        program: &Program,
-        stations: &Arc<StationTable>,
-    ) {
+    /// Turns this into [`CoreShared::new`] of its configuration in
+    /// place: memory is renewed page by page and the L2 in O(1).
+    pub(crate) fn reload(&mut self, program: &Program, stations: &Arc<StationTable>) {
         self.entry = program.entry();
         self.stations = Arc::clone(stations);
-        self.cfg = Arc::clone(cfg);
         self.mem.renew();
         self.mem.load_program(program);
-        if *self.l2.borrow().config() == cfg.l2 {
-            self.l2.borrow_mut().renew();
-        } else {
-            self.l2 = SharedLevel::new(cfg.l2).into_shared();
-        }
+        self.l2.borrow_mut().renew();
     }
 }
 
@@ -101,36 +90,37 @@ struct CoreParts {
 }
 
 impl CoreParts {
+    /// The parts of a core of `cfg` whose L1D sits in front of `l2`.
     fn new(cfg: &O3Config, l2: &Rc<RefCell<SharedLevel>>) -> CoreParts {
-        CoreParts {
-            rob: VecDeque::with_capacity(cfg.rob_size),
-            iq: VecDeque::with_capacity(cfg.iq_size),
+        let mut parts = CoreParts {
+            rob: VecDeque::new(),
+            iq: VecDeque::new(),
             issue_bw: IssueMeter::new(cfg.width),
-            bpred: BranchPredictor::new(cfg.bpred_entries, cfg.btb_entries, cfg.ras_depth),
+            bpred: BranchPredictor::default(),
             fus: FuSet::new(cfg),
             l1i: CacheArray::new(diag_mem::CacheConfig::l1i_32k()),
             l1d: PrivateCache::new(cfg.l1d, Rc::clone(l2)),
             lsq: Lsu::new(cfg.lsq_size),
-            store_buffer: MemLane::new(cfg.lsq_size),
-        }
+            store_buffer: MemLane::default(),
+        };
+        parts.renew(cfg);
+        parts
     }
 
-    /// Turns these parts into [`CoreParts::new`] of the same arguments,
-    /// keeping every piece's storage (the L1D's only when `cfg` keeps
-    /// its geometry).
-    fn renew(&mut self, cfg: &O3Config, l2: &Rc<RefCell<SharedLevel>>) {
+    /// Turns these parts into [`CoreParts::new`] of `cfg` and the L2 they
+    /// were built for, keeping every piece's storage.
+    fn renew(&mut self, cfg: &O3Config) {
+        debug_assert_eq!(*self.l1d.config(), cfg.l1d, "a core's L1D never changes");
         self.rob.clear();
+        self.rob.reserve(cfg.rob_size);
         self.iq.clear();
+        self.iq.reserve(cfg.iq_size);
         self.issue_bw.renew(cfg.width);
         self.bpred
             .renew(cfg.bpred_entries, cfg.btb_entries, cfg.ras_depth);
         self.fus.renew(cfg);
         self.l1i.renew();
-        if *self.l1d.config() == cfg.l1d {
-            self.l1d.renew(l2);
-        } else {
-            self.l1d = PrivateCache::new(cfg.l1d, Rc::clone(l2));
-        }
+        self.l1d.renew();
         self.lsq.renew(cfg.lsq_size);
         self.store_buffer.renew(cfg.lsq_size);
     }
@@ -233,7 +223,7 @@ impl Unit for O3Core {
         let cfg = Arc::clone(&shared.cfg);
         let parts = match storage.parts {
             Some(mut parts) => {
-                parts.renew(&cfg, &shared.l2);
+                parts.renew(&cfg);
                 parts
             }
             None => CoreParts::new(&cfg, &shared.l2),

@@ -28,14 +28,15 @@ impl FuPool {
     ///
     /// Panics if `count` is zero.
     pub fn new(count: usize, pipelined: bool) -> FuPool {
-        assert!(count > 0, "a functional-unit pool needs at least one unit");
-        if pipelined {
-            FuPool::Pipelined(PortMeter::new(count))
+        let mut pool = if pipelined {
+            FuPool::Pipelined(PortMeter::new(1))
         } else {
             FuPool::Unpipelined {
-                next_free: vec![0; count],
+                next_free: Vec::new(),
             }
-        }
+        };
+        pool.renew(count);
+        pool
     }
 
     /// Turns this pool into [`FuPool::new`]`(count, ..)` of its kind,

@@ -66,19 +66,16 @@ impl OooCpu {
         &self.config
     }
 
-    /// Turns this machine into `OooCpu::new(config, max_cores)` from its
-    /// next [`Machine::load`] on, keeping its probes, memory side and
-    /// core storage; a cache whose geometry changes is rebuilt at that
-    /// load.
+    /// Sets how many cores run at once from the next [`Machine::load`]
+    /// on, so this machine runs like `OooCpu::new(config, max_cores)` of
+    /// its own configuration while keeping its memory side and core
+    /// storage.
     ///
     /// # Panics
     ///
     /// Panics if `max_cores` is zero.
-    pub fn reshape(&mut self, config: &O3Config, max_cores: usize) {
+    pub fn set_max_cores(&mut self, max_cores: usize) {
         assert!(max_cores > 0, "need at least one core");
-        if *self.config != *config {
-            self.config = Arc::new(config.clone());
-        }
         self.max_cores = max_cores;
     }
 }
@@ -103,7 +100,7 @@ impl Machine for OooCpu {
         let (limit, freq) = (self.config.max_cycles, self.config.freq_ghz);
         match &mut self.run {
             Some(run) => {
-                run.shared_mut().reload(&self.config, program, stations);
+                run.shared_mut().reload(program, stations);
                 run.restart(probes, threads, width, limit, freq);
             }
             None => {

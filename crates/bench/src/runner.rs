@@ -64,9 +64,7 @@ impl Held {
     fn reshape(&mut self, spec: &MachineSpec) -> bool {
         match (self, spec) {
             (Held::Diag(m), MachineSpec::Diag(cfg)) if m.same_caches(cfg) => m.reshape(cfg),
-            (Held::Ooo(m), MachineSpec::Ooo(cores)) => {
-                m.reshape(&O3Config::aggressive_8wide(), *cores)
-            }
+            (Held::Ooo(m), MachineSpec::Ooo(cores)) => m.set_max_cores(*cores),
             (Held::InOrder(_), MachineSpec::InOrder) => {}
             _ => return false,
         }

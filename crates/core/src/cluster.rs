@@ -11,6 +11,9 @@
 use diag_isa::StationSlot;
 use diag_mem::Lsu;
 
+/// Data lines a cluster's line buffer holds.
+const LINE_BUF_LINES: usize = 8;
+
 /// Timing and residency state of one processing cluster.
 #[derive(Debug)]
 pub struct Cluster {
@@ -43,24 +46,24 @@ pub struct Cluster {
     /// passing data "for immediate access"). Timing-only: hits bypass the
     /// L1D entirely.
     line_buf: Vec<u32>,
-    line_buf_capacity: usize,
 }
 
 impl Cluster {
     /// Creates an empty cluster with `pes` PE slots and an LSU of the
     /// given depth.
     pub fn new(pes: usize, lsu_depth: usize) -> Cluster {
-        Cluster {
+        let mut cluster = Cluster {
             line_addr: None,
-            stations: vec![StationSlot::Empty; pes],
+            stations: Vec::new(),
             decode_ready: 0,
             decoded_slots: 0,
-            slot_busy: vec![0; pes],
+            slot_busy: Vec::new(),
             last_commit: 0,
             lsu: Lsu::new(lsu_depth),
-            line_buf: Vec::with_capacity(8),
-            line_buf_capacity: 8,
-        }
+            line_buf: Vec::new(),
+        };
+        cluster.renew(pes, lsu_depth);
+        cluster
     }
 
     /// Turns this cluster into [`Cluster::new`]`(pes, lsu_depth)`,
@@ -76,6 +79,7 @@ impl Cluster {
         self.last_commit = 0;
         self.lsu.renew(lsu_depth);
         self.line_buf.clear();
+        self.line_buf.reserve(LINE_BUF_LINES);
     }
 
     /// Whether `line` is held in the cluster's line buffer; a hit promotes
@@ -93,7 +97,7 @@ impl Cluster {
     /// Installs `line` as the most-recently-accessed data line.
     pub fn line_buf_fill(&mut self, line: u32) {
         if !self.line_buf_hit(line) {
-            if self.line_buf.len() == self.line_buf_capacity {
+            if self.line_buf.len() == LINE_BUF_LINES {
                 self.line_buf.remove(0);
             }
             self.line_buf.push(line);

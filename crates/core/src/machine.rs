@@ -86,16 +86,21 @@ impl Diag {
 
     /// Turns this machine into `Diag::new(config)` from its next
     /// [`Machine::load`] on, keeping its probes, memory side and ring
-    /// storage. Anything may change — clusters, ring segmentation, lane
-    /// buffering, LSU depth — and a cache whose geometry changes is
-    /// rebuilt at that load; [`Diag::same_caches`] says whether none
-    /// does.
+    /// storage. `config` may change the clusters, ring segmentation, lane
+    /// buffering and LSU depth, but not the caches.
     ///
     /// # Panics
     ///
-    /// Panics if the configuration is internally inconsistent
-    /// (see [`DiagConfig::validate`]).
+    /// Panics if `config` does not have this machine's caches (see
+    /// [`Diag::same_caches`]) or is internally inconsistent (see
+    /// [`DiagConfig::validate`]).
     pub fn reshape(&mut self, config: &DiagConfig) {
+        assert!(
+            self.same_caches(config),
+            "{:?} has other caches than {:?}",
+            config.name,
+            self.config.name
+        );
         if let Err(e) = config.validate() {
             panic!("invalid DiagConfig {:?}: {e}", config.name);
         }

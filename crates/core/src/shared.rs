@@ -56,32 +56,26 @@ impl SharedParts {
     }
 
     /// Turns this memory side into [`SharedParts::new`]`(config,
-    /// program)` in place: memory is renewed page by page, and every
-    /// cache whose geometry `config` keeps is renewed in O(1) instead of
-    /// rebuilt. The program is cloned only if it differs from the one
-    /// held.
+    /// program)` in place: memory is renewed page by page and every cache
+    /// in O(1). `config` must have the caches this side was built with
+    /// (see [`Diag::same_caches`](crate::Diag::same_caches)); the program
+    /// is cloned only if it differs from the one held.
     pub fn reload(&mut self, config: &Arc<DiagConfig>, program: &Program) {
+        debug_assert!(
+            *self.l1i.config() == config.l1i
+                && *self.l1d.config() == config.l1d
+                && *self.l2.borrow().config() == l2_config(config),
+            "reload needs the caches the memory side was built with"
+        );
         if *self.program != *program {
             self.program = Arc::new(program.clone());
         }
         self.config = Arc::clone(config);
         self.mem.renew();
         self.mem.load_program(&self.program);
-        if *self.l1i.config() == config.l1i {
-            self.l1i.renew();
-        } else {
-            self.l1i = CacheArray::new(config.l1i);
-        }
-        if *self.l2.borrow().config() == l2_config(config) {
-            self.l2.borrow_mut().renew();
-        } else {
-            self.l2 = SharedLevel::new(l2_config(config)).into_shared();
-        }
-        if *self.l1d.config() == config.l1d {
-            self.l1d.renew(&self.l2);
-        } else {
-            self.l1d = PrivateCache::new(config.l1d, Rc::clone(&self.l2));
-        }
+        self.l1i.renew();
+        self.l2.borrow_mut().renew();
+        self.l1d.renew();
         self.bus = Bus::new();
     }
 

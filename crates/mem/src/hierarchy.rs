@@ -163,14 +163,12 @@ impl PrivateCache {
     }
 
     /// Returns the cache to the state of a fresh one of its geometry in
-    /// front of `next`, keeping its storage (see [`CacheArray::renew`]).
-    pub fn renew(&mut self, next: &Rc<RefCell<SharedLevel>>) {
+    /// front of the same shared level, keeping its storage (see
+    /// [`CacheArray::renew`]).
+    pub fn renew(&mut self) {
         self.cache.renew();
         for bank in &mut self.banks {
             bank.renew(1);
-        }
-        if !Rc::ptr_eq(&self.next, next) {
-            self.next = Rc::clone(next);
         }
     }
 
@@ -402,7 +400,7 @@ mod tests {
             l1.access(addr, write, now);
         }
         l2.borrow_mut().renew();
-        l1.renew(&l2);
+        l1.renew();
         let (mut fresh, fresh_l2) = hierarchy();
         for &(addr, write, now) in &trace {
             assert_eq!(l1.access(addr, write, now), fresh.access(addr, write, now));

@@ -35,14 +35,15 @@ impl Lsu {
     /// Panics if `depth` is zero: such a unit could never accept a
     /// request.
     pub fn new(depth: usize) -> Lsu {
-        assert!(depth > 0, "LSU depth must be positive");
-        Lsu {
-            outstanding: Vec::with_capacity(depth),
-            depth,
+        let mut lsu = Lsu {
+            outstanding: Vec::new(),
+            depth: 1,
             port: PortMeter::new(1),
             accepted: 0,
             rejections: 0,
-        }
+        };
+        lsu.renew(depth);
+        lsu
     }
 
     /// Retires completed requests as of cycle `now`.
@@ -184,6 +185,7 @@ impl Lsu {
     pub fn renew(&mut self, depth: usize) {
         assert!(depth > 0, "LSU depth must be positive");
         self.outstanding.clear();
+        self.outstanding.reserve(depth);
         self.depth = depth;
         self.port.renew(1);
         self.accepted = 0;

@@ -97,13 +97,9 @@ pub struct MemLane {
 impl MemLane {
     /// Creates a memory lane with `capacity` fast-forwarding entries.
     pub fn new(capacity: usize) -> MemLane {
-        MemLane {
-            entries: VecDeque::new(),
-            capacity,
-            base_seq: 0,
-            word_index: FxHashMap::default(),
-            irregular: 0,
-        }
+        let mut lane = MemLane::default();
+        lane.renew(capacity);
+        lane
     }
 
     /// Returns the lane to the state of [`MemLane::new`]`(capacity)`,

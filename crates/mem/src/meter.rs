@@ -39,16 +39,17 @@ impl PortMeter {
     ///
     /// Panics if `width` is 0 or exceeds 255.
     pub fn new(width: usize) -> PortMeter {
-        assert!((1..=255).contains(&width), "port width out of range");
-        PortMeter {
-            width: width as u8,
+        let mut meter = PortMeter {
+            width: 1,
             counts: Vec::new(),
             base: 0,
             lo: u64::MAX,
             hi: 0,
             horizon: 0,
             granted: 0,
-        }
+        };
+        meter.renew(width);
+        meter
     }
 
     /// Zeroes the counts of the granted cycles up to `to` and shrinks the
