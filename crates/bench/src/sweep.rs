@@ -290,8 +290,8 @@ pub fn run_sweep_metered(
                     let Some(run) = runs.get(i) else { break };
                     let result = run_one_metered(&mut slot, session, run, metrics, &mut busy);
                     // A sweep worker never panics while holding the lock
-                    // (`run_one` catches panics), but recover anyway: the
-                    // slot is write-only here.
+                    // (`run_one_in` catches panics), but recover anyway:
+                    // the slot is write-only here.
                     *slots[i].lock().unwrap_or_else(|p| p.into_inner()) = Some(result);
                 }
                 if let (Some(m), Some(born)) = (metrics, born) {
@@ -329,12 +329,6 @@ fn run_one_metered(
     *busy = busy.saturating_add(host_ns);
     m.observe(host_ns, &result);
     result
-}
-
-/// Executes one [`SweepRun`] against `session` on a fresh machine,
-/// catching panics as [`RunError::Panicked`] (see [`run_one_in`]).
-pub fn run_one(session: &Session, run: &SweepRun) -> Result<RunStats, RunError> {
-    run_one_in(&mut MachineSlot::new(), session, run)
 }
 
 /// Executes one [`SweepRun`] against `session` on the machine `slot`

@@ -1,9 +1,9 @@
 //! Server round-trip equivalence: every workload × machine submitted
 //! over the wire must report the exact `RunStats` a direct
-//! `sweep::run_one` of the same spec produces, and failed runs must
-//! carry the same `RunError` taxonomy and message.
+//! `sweep::run_one_in` of the same spec on a fresh machine produces, and
+//! failed runs must carry the same `RunError` taxonomy and message.
 
-use diag_bench::runner::MachineSpec;
+use diag_bench::runner::{MachineSlot, MachineSpec};
 use diag_bench::sweep::{self, SweepRun};
 use diag_pipeline::Session;
 use diag_serve::{Client, ServeConfig, Server, Submit};
@@ -68,7 +68,7 @@ fn every_workload_and_machine_matches_a_direct_run() {
             spec: find(workload).expect("registered workload"),
             params: Params::tiny(),
         };
-        let direct = sweep::run_one(&direct_session, &run)
+        let direct = sweep::run_one_in(&mut MachineSlot::new(), &direct_session, &run)
             .unwrap_or_else(|e| panic!("{workload} on {machine} failed directly: {e}"));
 
         let stats = frame.doc.get("stats").expect("stats object");
@@ -137,7 +137,8 @@ fn failed_runs_carry_the_direct_error_taxonomy_and_message() {
         panic!("diag kind");
     };
     cfg.max_cycles = 10;
-    let direct = sweep::run_one(
+    let direct = sweep::run_one_in(
+        &mut MachineSlot::new(),
         &Session::in_memory(),
         &SweepRun {
             machine: kind,
